@@ -3,7 +3,7 @@
 
 For the exponential (m2) and cubic (m4) laws the trace condition of the
 1-DOF plant is solvable by hand; this script compares those curves with
-the grid + bisection extraction and reports the worst relative error,
+the exact-threshold extraction and reports the worst relative error,
 plus the cell-normalized separation between the 1-DOF and damping-matched
 FE boundaries.
 """

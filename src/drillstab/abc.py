@@ -430,8 +430,34 @@ def save_state(state: AbcState, directory) -> Path:
 
 
 def load_state(directory) -> AbcState:
-    """Rebuild an AbcState from a ``save_state`` bundle."""
+    """Rebuild an AbcState from a ``save_state`` bundle. DataError for a
+    missing or unreadable bundle, or a population whose row count, model
+    tags, NaN padding or distances do not fit n, 1-4, the tags' parameter
+    counts or the tolerance."""
     directory = Path(directory)
+    try:
+        state = _parse_state(directory)
+    except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:
+        raise DataError(f"cannot read ABC state bundle {directory}: "
+                        f"{type(exc).__name__}: {exc}") from exc
+    counts = np.array([PARAM_COUNTS.get(k, 0) for k in range(max(MODEL_KINDS) + 1)])
+    for g, pop in enumerate(state.populations, start=1):
+        if len(pop) != state.n:
+            raise DataError(f"population {g} has {len(pop)} rows, "
+                            f"expected n = {state.n}")
+        if not np.isin(pop.kinds, MODEL_KINDS).all():
+            raise DataError(f"population {g} has model tags outside {MODEL_KINDS}")
+        if not np.array_equal(np.isfinite(pop.phis),
+                              np.arange(MAX_PARAMS) < counts[pop.kinds, None]):
+            raise DataError(f"population {g} has parameter cells that do not "
+                            "match the NaN padding of their model tags")
+        if not (pop.distances < pop.tolerance).all():
+            raise DataError(f"population {g} has distances at or above its "
+                            f"tolerance {pop.tolerance!r}")
+    return state
+
+
+def _parse_state(directory: Path) -> AbcState:
     manifest = json.loads((directory / "abc_state.json").read_text())
     priors = {}
     for k, pr in manifest["priors"].items():

@@ -39,8 +39,9 @@ from .fem import DrillStringGeometry, assemble, modal_properties
 from .reference import (REFERENCE_GEOMETRY, REFERENCE_INERTIA,
                         REFERENCE_OMEGA_N, REFERENCE_PARAMS, REFERENCE_XI,
                         W_REF_KN)
-from .stability import (RAD_S_TO_RPM, boundary_to_csv, grid_to_csv,
-                        map_deterministic, map_mixture, map_stochastic)
+from .stability import (RAD_S_TO_RPM, boundary_to_csv, critical_damping,
+                        grid_to_csv, map_deterministic, map_mixture,
+                        map_stochastic)
 
 _MODEL_NAMES = {f"m{k}": k for k in MODEL_KINDS}
 
@@ -222,6 +223,7 @@ def run_abc(config: dict) -> list[str]:
             if state.populations[-1].count(k) >= 50]
     speeds = np.linspace(float(dataset.speeds.min()),
                          float(dataset.speeds.max()), 200)
+    envelopes = {}
     for k in rich:
         stats = abc_mod.posterior_stats(state, final, k)
         lines = ["param,bin_lo,bin_hi,count"]
@@ -237,8 +239,8 @@ def run_abc(config: dict) -> list[str]:
             lines.append(",".join(row))
         outputs.append(_write_text(out / f"correlation_m{k}.csv",
                                    "\n".join(lines) + "\n"))
-        low, high = abc_mod.predictive_envelope(state, final, k, speeds,
-                                                coverage=coverage, r=r)
+        low, high = envelopes[k] = abc_mod.predictive_envelope(
+            state, final, k, speeds, coverage=coverage, r=r)
         lines = ["speed_rad_s,torque_low_knm,torque_high_knm"]
         for s, lo_v, hi_v in zip(speeds, low, high):
             lines.append(f"{float(s)!r},{float(lo_v)!r},{float(hi_v)!r}")
@@ -262,8 +264,7 @@ def run_abc(config: dict) -> list[str]:
                 svgplot.render(series, "population", "tolerance",
                                "tolerance schedule (population 1 accepts all)")))
         for k in rich:
-            low, high = abc_mod.predictive_envelope(state, final, k, speeds,
-                                                    coverage=coverage, r=r)
+            low, high = envelopes[k]
             band = svgplot.FillBand(x=list(speeds), y_low=list(low),
                                     y_high=list(high),
                                     label=f"{coverage:.0%} envelope")
@@ -316,7 +317,6 @@ def _grid_kwargs(config, w_ref):
                      float(config.get("omega_max", 20.0))),
         wob_range=wob_range,
         resolution=(res, res),
-        refine=int(config.get("refine", 10)),
     )
 
 
@@ -325,7 +325,7 @@ def run_map(config: dict) -> list[str]:
     w_ref = float(config.get("w_ref", W_REF_KN))
     plant = _make_plant(config)
     mode = config.get("mode", "deterministic")
-    kwargs = _grid_kwargs(config, w_ref)
+    kwargs = dict(_grid_kwargs(config, w_ref), c_star=critical_damping(plant))
     outputs = []
     curves = []
 
@@ -562,7 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wob-min", type=float, default=None, dest="wob_min")
     p.add_argument("--wob-max", type=float, default=None, dest="wob_max")
     p.add_argument("--resolution", type=int, default=80)
-    p.add_argument("--refine", type=int, default=10)
     p.add_argument("--no-svg", action="store_true", dest="no_svg")
 
     p = sub.add_parser("fem-modes", help="modal table of the FE model")

@@ -163,19 +163,23 @@ def modal_properties(model: FemTorsionalModel) -> list[tuple[float, float]]:
     return [(float(w), float(x)) for w, x in zip(omegas, xis)]
 
 
-def jacobian_fem(model: FemTorsionalModel, bitrock: BitRockModel, r,
-                 op: OperatingPoint) -> np.ndarray:
+def state_matrix(model: FemTorsionalModel, bit_damping: float) -> np.ndarray:
     """2n x 2n state matrix [[0, I], [-M^-1 K, -M^-1 C_NL]] where C_NL adds
-    the bit torque derivative (N m s/rad) to the bit diagonal entry."""
+    ``bit_damping`` (N m s/rad) to the bit diagonal entry."""
     n = model.n_el
-    dt_nm = KNM_TO_NM * torque_derivative(bitrock, r, op.omega)
     c_nl = model.damping.copy()
-    c_nl[-1, -1] += dt_nm
+    c_nl[-1, -1] += bit_damping
     a = np.zeros((2 * n, 2 * n))
     a[:n, n:] = np.eye(n)
     a[n:, :n] = -np.linalg.solve(model.mass, model.stiffness)
     a[n:, n:] = -np.linalg.solve(model.mass, c_nl)
     return a
+
+
+def jacobian_fem(model: FemTorsionalModel, bitrock: BitRockModel, r,
+                 op: OperatingPoint) -> np.ndarray:
+    """State matrix whose bit damping is the bit torque derivative."""
+    return state_matrix(model, KNM_TO_NM * torque_derivative(bitrock, r, op.omega))
 
 
 def eigenvalues_general(a: np.ndarray) -> np.ndarray:

@@ -1,13 +1,14 @@
 """Torsional stability maps over the (Omega, W) operational plane.
 
-A point is classified by the sign of the rightmost eigenvalue of the
-linearized system (1-DOF closed form or the FE block Jacobian): stable
-when every real part is below -1e-10; ties count as unstable. Maps scan a
-rectangular grid and extract the stable/unstable interface by per-column
-bisection in W. Stochastic maps score each cell with the fraction of
-posterior particles classified unstable and trace the contour where that
-probability crosses a percentile; mixture maps combine per-model
-probability fields with weights.
+A point is stable when every eigenvalue of the linearized system has real
+part below -1e-10 (ties count as unstable). The plant sees a torque law
+only through the bit damping c = 1000 r T'(Omega), linear in r = W / W_ref,
+so a point is stable exactly when c exceeds the plant's critical bit
+damping c*, and each parameter vector has one threshold r* per Omega
+(unstable at and above it when c* < 0, at and below it when c* >= 0, as for
+an undamped plant). A cell's instability probability is the (weighted, for
+mixtures) share of particles unstable at its r; a boundary point is the
+exact threshold where that share reaches the percentile.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ import numpy as np
 from .bitrock import (BitRockModel, PARAM_COUNTS, WobRatio,
                       torque_derivative_batch, torque_derivative_eval)
 from .dynamics import KNM_TO_NM, LumpedDrillString, OperatingPoint, jacobian_1dof
-from .errors import DomainError, InsufficientSamplesError
-from .fem import FemTorsionalModel, eigenvalues_general, jacobian_fem
+from .errors import DomainError, InsufficientSamplesError, NumericError
+from .fem import (FemTorsionalModel, eigenvalues_general, jacobian_fem,
+                  state_matrix)
 
 RAD_S_TO_RPM = 30.0 / math.pi
 
@@ -31,7 +33,10 @@ STABLE_TIE_TOL = 1e-10
 DEFAULT_OMEGA_RANGE = (1.0, 20.0)
 DEFAULT_WOB_FRACTIONS = (0.2, 3.0)
 DEFAULT_RESOLUTION = (80, 80)
-DEFAULT_REFINE = 10
+# the half-line guard: 100 log-spaced bit dampings per side of c*, 1e-6 to
+# 1e6 times max(1, |c*|) away (the maps evaluate |c| of order 1e4)
+_GUARD_POINTS = 100
+_GUARD_SPAN = 1e6
 
 
 @dataclass(frozen=True)
@@ -66,9 +71,9 @@ class StabilityGrid:
 class BoundaryCurve:
     """Stable/unstable interface as (Omega, W) points, ascending Omega.
 
-    ``single_valued`` is False when some column crossed more than once (the
-    points then form a raw contour); ``monotone`` flags whether W increases
-    along Omega.
+    ``single_valued`` is False when some column crossed more than once (only
+    the first crossing then has a point); ``monotone`` flags whether W
+    increases along Omega.
     """
 
     points: np.ndarray
@@ -84,10 +89,6 @@ class BoundaryCurve:
         return len(self.points)
 
 
-def _max_real_eig(a: np.ndarray) -> float:
-    return float(eigenvalues_general(a).real.max())
-
-
 def classify(model: BitRockModel, plant, op: OperatingPoint,
              w_ref: float) -> bool:
     """True when the linearized system at (Omega, W) is strictly stable.
@@ -101,23 +102,73 @@ def classify(model: BitRockModel, plant, op: OperatingPoint,
         a = jacobian_fem(plant, model, r, op)
     else:
         raise DomainError(f"unsupported plant type {type(plant).__name__}")
-    return _max_real_eig(a) < -STABLE_TIE_TOL
+    return bool(eigenvalues_general(a).real.max() < -STABLE_TIE_TOL)
+
+
+def _rightmost(plant, c: np.ndarray) -> np.ndarray:
+    """Rightmost eigenvalue real part at each bit damping in ``c`` (N m s/rad);
+    the 1-DOF plant solves its quadratic (trace/determinant) in closed form."""
+    if isinstance(plant, LumpedDrillString):
+        tau = -2.0 * plant.omega_n * plant.xi - c / plant.i_eq
+        disc = tau * tau - 4.0 * plant.omega_n ** 2
+        return np.where(disc < 0, 0.5 * tau,
+                        0.5 * (tau + np.sqrt(np.maximum(disc, 0.0))))
+    if isinstance(plant, FemTorsionalModel):
+        return np.array([eigenvalues_general(state_matrix(plant, ci)).real.max()
+                         for ci in c])
+    raise DomainError(f"unsupported plant type {type(plant).__name__}")
+
+
+def _stable(plant, c) -> np.ndarray:
+    return _rightmost(plant, np.atleast_1d(c)) < -STABLE_TIE_TOL
 
 
 def classify_trace(model: BitRockModel, plant: LumpedDrillString,
                    op: OperatingPoint, w_ref: float) -> bool:
     """Independent 1-DOF route: rightmost eigenvalue from the closed-form
-    quadratic (trace/determinant), same tie rule as ``classify``."""
+    quadratic, same tie rule as ``classify``."""
     r = WobRatio(op.wob, w_ref)
     d_nm = KNM_TO_NM * torque_derivative_eval(model.kind, model.params, r, op.omega)
-    wn = plant.omega_n
-    tau = -2.0 * wn * plant.xi - d_nm / plant.i_eq
-    disc = tau * tau - 4.0 * wn * wn
-    mu = 0.5 * tau if disc < 0 else 0.5 * (tau + math.sqrt(disc))
-    return mu < -STABLE_TIE_TOL
+    return bool(_stable(plant, d_nm)[0])
 
 
-def _axes(omega_range, wob_range, resolution):
+def critical_damping(plant) -> float:
+    """Critical bit damping c* (N m s/rad): a point is stable exactly when
+    its bit damping c = 1000 r T'(Omega) exceeds c*.
+
+    Closed form -c_eq + 2 STABLE_TIE_TOL i_eq for the 1-DOF plant (ties
+    stay unstable, as in ``classify``); FE plants bisect the rightmost
+    eigenvalue to adjacent floats. Raises NumericError unless the guard
+    scan finds the stable set to be c > c*; maps stay inside its span.
+    """
+    if isinstance(plant, LumpedDrillString):
+        c_star = -plant.c_eq + 2.0 * STABLE_TIE_TOL * plant.i_eq
+    else:
+        # doubling lo ends, as the state matrix's trace grows without bound
+        # as c -> -inf; a plant no c up to 1e12 stabilizes fails the guard
+        lo, hi = -1.0, 1.0
+        while _stable(plant, lo)[0]:
+            lo *= 2.0
+        while hi < 1e12 and not _stable(plant, hi)[0]:
+            hi *= 2.0
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (lo, mid) if _stable(plant, mid)[0] else (mid, hi)
+        c_star = lo
+    scale = max(1.0, abs(c_star))
+    offsets = np.geomspace(1e-6 * scale, _GUARD_SPAN * scale, _GUARD_POINTS)
+    if _stable(plant, c_star - offsets).any() \
+            or not _stable(plant, c_star + offsets).all():
+        raise NumericError(
+            f"the stable set in bit damping is not the half-line c > {c_star!r}"
+            "; threshold maps do not apply")
+    return c_star
+
+
+def _axes(omega_range, wob_range, resolution, w_ref):
+    """Grid axes; ``wob_range`` defaults to (0.2, 3.0) times ``w_ref``."""
+    if wob_range is None:
+        wob_range = (DEFAULT_WOB_FRACTIONS[0] * w_ref,
+                     DEFAULT_WOB_FRACTIONS[1] * w_ref)
     n_om, n_w = resolution
     if n_om < 2 or n_w < 2:
         raise DomainError("resolution must be at least 2 per axis")
@@ -129,148 +180,86 @@ def _axes(omega_range, wob_range, resolution):
             np.linspace(wob_range[0], wob_range[1], n_w))
 
 
-def _extract_boundary(omega_axis, wob_axis, stable_grid, stable_at,
-                      refine: int) -> BoundaryCurve:
-    """Per-column bisection between straddling cells.
+def _probability(weights, thresholds, u) -> np.ndarray:
+    """Weighted share of each component's sorted thresholds at or below u."""
+    return sum(w * (np.searchsorted(t, u, side="right") / len(t))
+               for w, t in zip(weights, thresholds))
 
-    ``stable_at(omega, wob)`` re-classifies a point during refinement.
+
+def _threshold_map(components, weights, plant, w_ref, omega_axis, wob_axis,
+                   percentile, c_star):
+    """Shared body of every map, worked one Omega column at a time.
+
+    ``components`` is a list of (kind, phis) (joint sign constraints need
+    not hold). A particle with slope s = 1000 T'(Omega) is unstable where
+    s r <= c*: with sign that of -c*, at and above u* = sign c*/s in
+    u = sign r (u* = sign inf where sign s >= 0).
     """
-    points = []
-    single = True
+    if c_star is None:
+        c_star = critical_damping(plant)
+    sign = 1.0 if c_star < 0 else -1.0
+    u_axis = sign * wob_axis / w_ref
+    p = np.empty((len(omega_axis), len(wob_axis)))
+    wob_star = np.full(len(omega_axis), np.nan)
+    flips = np.zeros((len(components), len(omega_axis)), dtype=bool)
+    single_valued, s_abs = True, 0.0
     for i, om in enumerate(omega_axis):
-        col = stable_grid[i]
-        flips = np.flatnonzero(col[:-1] != col[1:])
-        if len(flips) == 0:
-            continue
-        if len(flips) > 1 or not col[0]:
-            single = False
-        for j in flips:
-            lo, hi = float(wob_axis[j]), float(wob_axis[j + 1])
-            lo_state = bool(col[j])
-            for _ in range(refine):
-                mid = 0.5 * (lo + hi)
-                if stable_at(om, mid) == lo_state:
-                    lo = mid
-                else:
-                    hi = mid
-            points.append((float(om), 0.5 * (lo + hi)))
-    pts = np.array(points) if points else np.empty((0, 2))
-    return BoundaryCurve(points=pts, single_valued=single)
+        slopes = [KNM_TO_NM * torque_derivative_batch(
+            kind, phis, 1.0, np.array([om]))[:, 0] for kind, phis in components]
+        s_abs = max(s_abs, *(np.abs(s).max() for s in slopes))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            thresholds = [np.sort(np.where(sign * s < 0, sign * c_star / s,
+                                           sign * np.inf)) for s in slopes]
+        flips[:, i] = [np.diff(_probability([1.0], [t], u_axis)
+                               < percentile).any() for t in thresholds]
+        p[i] = _probability(weights, thresholds, u_axis)
+        j = np.flatnonzero(np.diff(p[i] < percentile))
+        single_valued &= len(j) <= 1
+        if len(j):
+            # the first pooled threshold in the flipping cell pair at
+            # which the probability reaches the percentile
+            lo, hi = sorted(u_axis[j[0]:j[0] + 2])
+            pooled = np.concatenate(thresholds)
+            cand = np.sort(pooled[(pooled > lo) & (pooled <= hi)])
+            hit = np.argmax(_probability(weights, thresholds, cand)
+                            >= percentile)
+            wob_star[i] = sign * cand[hit] * w_ref
+    span = _GUARD_SPAN * max(1.0, abs(c_star))
+    if abs(c_star) + s_abs * wob_axis[-1] / w_ref > span:
+        raise NumericError(f"the map evaluates bit dampings beyond c* +- {span!r}"
+                           ", the span the half-line guard scanned")
+    # a mixture boundary only spans the columns between the first and last
+    # flip of every component's own field (all columns of one component)
+    inside = (np.maximum.accumulate(flips, axis=1)
+              & np.maximum.accumulate(flips[:, ::-1], axis=1)[:, ::-1])
+    keep = inside.all(axis=0) & ~np.isnan(wob_star)
+    return p, BoundaryCurve(
+        points=np.column_stack([omega_axis[keep], wob_star[keep]]),
+        single_valued=bool(single_valued))
 
 
 def map_deterministic(model: BitRockModel, plant, w_ref: float,
                       omega_range=DEFAULT_OMEGA_RANGE, wob_range=None,
-                      resolution=DEFAULT_RESOLUTION,
-                      refine: int = DEFAULT_REFINE
+                      resolution=DEFAULT_RESOLUTION, c_star=None
                       ) -> tuple[StabilityGrid, BoundaryCurve]:
     """Classify a dense grid for one parameter vector and extract the
-    boundary. ``wob_range`` defaults to (0.2, 3.0) times ``w_ref``."""
-    if wob_range is None:
-        wob_range = (DEFAULT_WOB_FRACTIONS[0] * w_ref,
-                     DEFAULT_WOB_FRACTIONS[1] * w_ref)
-    omega_axis, wob_axis = _axes(omega_range, wob_range, resolution)
-
-    def stable_at(om, w):
-        return classify(model, plant, OperatingPoint(omega=om, wob=w), w_ref)
-
-    stable = np.empty((len(omega_axis), len(wob_axis)), dtype=bool)
-    for i, om in enumerate(omega_axis):
-        for j, w in enumerate(wob_axis):
-            stable[i, j] = stable_at(om, w)
+    boundary W*(Omega) = W_ref c* / (1000 T'(Omega)). ``wob_range`` defaults
+    to (0.2, 3.0) times ``w_ref``; ``c_star`` (any map) takes a precomputed
+    ``critical_damping(plant)``."""
+    omega_axis, wob_axis = _axes(omega_range, wob_range, resolution, w_ref)
+    # one particle: its share is 0 or 1, unstable once it reaches 1
+    p, curve = _threshold_map([(model.kind, [model.params])], [1.0], plant,
+                              w_ref, omega_axis, wob_axis, 1.0, c_star)
     grid = StabilityGrid(omega_axis=omega_axis, wob_axis=wob_axis,
-                         stable=stable, p_unstable=None,
+                         stable=p < 1.0, p_unstable=None,
                          source=f"deterministic:m{model.kind}")
-    curve = _extract_boundary(omega_axis, wob_axis, stable, stable_at, refine)
-    return grid, curve
-
-
-def _mu_lumped_batch(kind: int, phis: np.ndarray, plant: LumpedDrillString,
-                     omega: float, r_values: np.ndarray) -> np.ndarray:
-    """Rightmost eigenvalue of the 1-DOF closed form for a particle batch
-    at one Omega and many r values; returns shape (m, len(r_values))."""
-    d1 = KNM_TO_NM * torque_derivative_batch(kind, phis, 1.0,
-                                             np.array([omega]))[:, 0]
-    tau = (-2.0 * plant.omega_n * plant.xi
-           - np.outer(d1, r_values) / plant.i_eq)
-    disc = tau * tau - 4.0 * plant.omega_n ** 2
-    with np.errstate(invalid="ignore"):
-        real_branch = 0.5 * (tau + np.sqrt(np.maximum(disc, 0.0)))
-    return np.where(disc < 0, 0.5 * tau, real_branch)
-
-
-def _unstable_fraction_fn(kind: int, phis: np.ndarray, plant, w_ref: float):
-    """Returns p(omega, wob_values) giving per-point instability fractions.
-
-    Lumped plants vectorize the closed-form eigenvalue over particles; FE
-    plants fall back to per-particle eigendecompositions.
-    """
-    if isinstance(plant, LumpedDrillString):
-        def frac(omega: float, wobs: np.ndarray) -> np.ndarray:
-            r_vals = np.asarray(wobs, dtype=float) / w_ref
-            mu = _mu_lumped_batch(kind, phis, plant, omega, r_vals)
-            return (mu >= -STABLE_TIE_TOL).mean(axis=0)
-        return frac
-    if isinstance(plant, FemTorsionalModel):
-        # particles come from independent prior boxes and may violate a
-        # law's joint sign constraints, so classify raw parameter vectors;
-        # only the last damping entry varies, so precompute the fixed blocks
-        n = plant.n_el
-        a = np.zeros((2 * n, 2 * n))
-        a[:n, n:] = np.eye(n)
-        a[n:, :n] = -np.linalg.solve(plant.mass, plant.stiffness)
-        minv_c = np.linalg.solve(plant.mass, plant.damping)
-        minv_last = np.linalg.solve(plant.mass, np.eye(n)[:, -1])
-
-        def max_real(kind_, phi, r_val, omega):
-            d_nm = KNM_TO_NM * torque_derivative_eval(kind_, tuple(phi),
-                                                      r_val, omega)
-            m = a.copy()
-            m[n:, n:] = -minv_c
-            m[n:, n:][:, -1] -= d_nm * minv_last
-            return float(eigenvalues_general(m).real.max())
-
-        def frac(omega: float, wobs: np.ndarray) -> np.ndarray:
-            out = np.empty(len(wobs))
-            for j, w in enumerate(np.asarray(wobs, dtype=float)):
-                r_val = float(w) / w_ref
-                unstable = sum(
-                    1 for phi in phis
-                    if max_real(kind, phi, r_val, omega) >= -STABLE_TIE_TOL)
-                out[j] = unstable / len(phis)
-            return out
-        return frac
-    raise DomainError(f"unsupported plant type {type(plant).__name__}")
-
-
-def _probability_map(fields, weights, omega_axis, wob_axis, percentile,
-                     refine, source):
-    """Shared stochastic/mixture map body.
-
-    ``fields`` is a list of per-component ``frac(omega, wobs)`` callables;
-    the combined instability probability is their weighted sum.
-    """
-    def p_at(om, wobs):
-        return sum(w * f(om, np.atleast_1d(wobs))
-                   for w, f in zip(weights, fields))
-
-    p = np.empty((len(omega_axis), len(wob_axis)))
-    for i, om in enumerate(omega_axis):
-        p[i] = p_at(float(om), wob_axis)
-    stable = p < percentile
-
-    def stable_at(om, w):
-        return bool(p_at(float(om), np.array([w]))[0] < percentile)
-
-    grid = StabilityGrid(omega_axis=omega_axis, wob_axis=wob_axis,
-                         stable=stable, p_unstable=p, source=source)
-    curve = _extract_boundary(omega_axis, wob_axis, stable, stable_at, refine)
     return grid, curve
 
 
 def map_stochastic(kind: int, phis: np.ndarray, plant, w_ref: float,
                    omega_range=DEFAULT_OMEGA_RANGE, wob_range=None,
                    resolution=DEFAULT_RESOLUTION, percentile: float = 0.02,
-                   refine: int = DEFAULT_REFINE, min_particles: int = 100
+                   min_particles: int = 100, c_star=None
                    ) -> tuple[StabilityGrid, BoundaryCurve]:
     """Instability-probability field over a posterior particle set plus the
     contour where the probability crosses ``percentile``."""
@@ -282,19 +271,19 @@ def map_stochastic(kind: int, phis: np.ndarray, plant, w_ref: float,
             f"need >= {min_particles} particles, got {len(phis)}")
     if not 0 <= percentile <= 1:
         raise DomainError(f"percentile must lie in [0, 1], got {percentile}")
-    if wob_range is None:
-        wob_range = (DEFAULT_WOB_FRACTIONS[0] * w_ref,
-                     DEFAULT_WOB_FRACTIONS[1] * w_ref)
-    omega_axis, wob_axis = _axes(omega_range, wob_range, resolution)
-    frac = _unstable_fraction_fn(kind, phis, plant, w_ref)
-    return _probability_map([frac], [1.0], omega_axis, wob_axis, percentile,
-                            refine, source=f"stochastic:m{kind}:p{percentile}")
+    omega_axis, wob_axis = _axes(omega_range, wob_range, resolution, w_ref)
+    p, curve = _threshold_map([(kind, phis)], [1.0], plant, w_ref,
+                              omega_axis, wob_axis, percentile, c_star)
+    grid = StabilityGrid(omega_axis=omega_axis, wob_axis=wob_axis,
+                         stable=p < percentile, p_unstable=p,
+                         source=f"stochastic:m{kind}:p{percentile}")
+    return grid, curve
 
 
 def map_mixture(components, weights, plant, w_ref: float,
                 omega_range=DEFAULT_OMEGA_RANGE, wob_range=None,
                 resolution=DEFAULT_RESOLUTION, percentile: float = 0.02,
-                refine: int = DEFAULT_REFINE, min_particles: int = 100
+                min_particles: int = 100, c_star=None
                 ) -> tuple[StabilityGrid, BoundaryCurve]:
     """Weighted mixture of per-model stochastic maps.
 
@@ -309,38 +298,18 @@ def map_mixture(components, weights, plant, w_ref: float,
         raise DomainError("one weight per component required")
     if (weights < 0).any() or abs(weights.sum() - 1.0) > 1e-12:
         raise DomainError("weights must be nonnegative and sum to 1")
-    if wob_range is None:
-        wob_range = (DEFAULT_WOB_FRACTIONS[0] * w_ref,
-                     DEFAULT_WOB_FRACTIONS[1] * w_ref)
-    omega_axis, wob_axis = _axes(omega_range, wob_range, resolution)
-
-    fracs = []
-    component_curves = []
-    for kind, phis in components:
-        phis = np.asarray(phis, dtype=float)
+    for _, phis in components:
         if len(phis) < min_particles:
             raise InsufficientSamplesError(
                 f"need >= {min_particles} particles per component, got {len(phis)}")
-        frac = _unstable_fraction_fn(kind, phis, plant, w_ref)
-        fracs.append(frac)
-        _, comp_curve = _probability_map(
-            [frac], [1.0], omega_axis, wob_axis, percentile, refine,
-            source=f"component:m{kind}")
-        component_curves.append(comp_curve)
-
-    grid, curve = _probability_map(
-        fracs, weights, omega_axis, wob_axis, percentile, refine,
+    omega_axis, wob_axis = _axes(omega_range, wob_range, resolution, w_ref)
+    p, curve = _threshold_map(components, weights, plant, w_ref,
+                              omega_axis, wob_axis, percentile, c_star)
+    grid = StabilityGrid(
+        omega_axis=omega_axis, wob_axis=wob_axis, stable=p < percentile,
+        p_unstable=p,
         source="mixture:" + "+".join(f"m{k}x{w!r}"
                                      for (k, _), w in zip(components, weights)))
-    if len(curve) and all(len(c) for c in component_curves):
-        lo = max(c.points[:, 0].min() for c in component_curves)
-        hi = min(c.points[:, 0].max() for c in component_curves)
-        keep = (curve.points[:, 0] >= lo) & (curve.points[:, 0] <= hi)
-        curve = BoundaryCurve(points=curve.points[keep],
-                              single_valued=curve.single_valued)
-    elif not all(len(c) for c in component_curves):
-        curve = BoundaryCurve(points=np.empty((0, 2)),
-                              single_valued=curve.single_valued)
     return grid, curve
 
 

@@ -8,8 +8,8 @@ from drillstab import abc
 from drillstab.bitrock import MODEL_KINDS, PARAM_COUNTS, torque_batch
 from drillstab.calibration import fit_all, metric_arrays
 from drillstab.dataio import TorqueDataset, synthesize
-from drillstab.errors import (DomainError, InsufficientSamplesError,
-                              StallError)
+from drillstab.errors import (DataError, DomainError,
+                              InsufficientSamplesError, StallError)
 from drillstab.reference import REFERENCE_PARAMS, reference_model
 
 
@@ -292,3 +292,60 @@ class TestSerialization:
         for k in MODEL_KINDS:
             assert np.array_equal(back.priors[k].lo, small_state.priors[k].lo)
             assert np.array_equal(back.priors[k].hi, small_state.priors[k].hi)
+
+
+class TestBundleValidation:
+    """Damaged bundles raise DataError (CLI exit 4), not a traceback."""
+
+    @pytest.fixture
+    def bundle(self, small_state, tmp_path):
+        return abc.save_state(small_state, tmp_path / "bundle")
+
+    @staticmethod
+    def edit_row(bundle, edit, tag="2", g=2):
+        """Apply ``edit`` to the cells of the first row carrying ``tag``."""
+        path = bundle / f"population_{g:02d}.csv"
+        lines = path.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines[1:], start=1)
+                 if line.split(",")[0] == tag)
+        cells = lines[i].split(",")
+        edit(cells)
+        lines[i] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_intact_bundle_loads(self, bundle, small_state):
+        assert abc.load_state(bundle).n_populations == small_state.n_populations
+
+    def test_missing_directory(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read"):
+            abc.load_state(tmp_path / "nowhere")
+
+    def test_missing_manifest(self, bundle):
+        (bundle / "abc_state.json").unlink()
+        with pytest.raises(DataError, match="cannot read"):
+            abc.load_state(bundle)
+
+    @pytest.mark.parametrize("tag", ["abc", "0", "5"])
+    def test_model_tag_outside_range(self, bundle, tag):
+        self.edit_row(bundle, lambda cells: cells.__setitem__(0, tag))
+        with pytest.raises(DataError):
+            abc.load_state(bundle)
+
+    @pytest.mark.parametrize("column, value", [(1, ""), (6, "1.0")])
+    def test_padding_mismatch(self, bundle, column, value):
+        # m2 takes three parameters: blank a used cell, or fill padding
+        self.edit_row(bundle, lambda cells: cells.__setitem__(column, value))
+        with pytest.raises(DataError, match="padding"):
+            abc.load_state(bundle)
+
+    def test_row_count_differs_from_n(self, bundle):
+        path = bundle / "population_02.csv"
+        path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+        with pytest.raises(DataError, match="rows"):
+            abc.load_state(bundle)
+
+    def test_distance_at_tolerance(self, bundle, small_state):
+        eps = repr(small_state.tolerances[1])
+        self.edit_row(bundle, lambda cells: cells.__setitem__(-1, eps))
+        with pytest.raises(DataError, match="tolerance"):
+            abc.load_state(bundle)

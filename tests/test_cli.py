@@ -1,10 +1,12 @@
 import json
 import math
+import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from drillstab import cli
+from drillstab import cli, stability
 from drillstab.dataio import read_csv
 from drillstab.errors import StallError
 from drillstab.reference import REFERENCE_PARAMS
@@ -198,6 +200,13 @@ class TestMap:
         assert code == 0
         assert (out2 / "map_mixture_boundary.csv").exists()
 
+    def test_damaged_abc_state_exits_4(self, abc_dir, tmp_path):
+        bundle = tmp_path / "abc_state"
+        shutil.copytree(abc_dir / "abc_state", bundle)
+        (bundle / "abc_state.json").unlink()
+        assert run_cli("map", "--out-dir", tmp_path / "out", "--mode",
+                       "stochastic", "--abc-state", bundle) == 4
+
     def test_missing_abc_state_exits_2(self, tmp_path):
         assert run_cli("map", "--out-dir", tmp_path, "--mode",
                        "stochastic") == 2
@@ -208,6 +217,29 @@ class TestMap:
                        "--models", "m2", "--resolution", "16")
         assert code == 0
         assert (out / "map_m2_boundary.csv").exists()
+
+    def test_c_star_computed_once_per_stage(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(plant):
+            calls.append(plant)
+            return real(plant)
+        real = stability.critical_damping
+        monkeypatch.setattr(cli, "critical_damping", counted)
+        monkeypatch.setattr(stability, "critical_damping", counted)
+        assert run_cli("map", "--out-dir", tmp_path, "--plant", "fem",
+                       "--resolution", "8", "--no-svg") == 0
+        assert len(calls) == 1
+
+    def test_split_stable_set_exits_3(self, tmp_path, monkeypatch):
+        real = stability._rightmost
+
+        def split(plant, c):
+            # a stable band of bit damping inside the unstable half-line
+            return np.where((c > -1000) & (c < -500), -1.0, real(plant, c))
+        monkeypatch.setattr(stability, "_rightmost", split)
+        assert run_cli("map", "--out-dir", tmp_path, "--plant", "fem",
+                       "--models", "m2", "--resolution", "8") == 3
 
 
 class TestFemModes:

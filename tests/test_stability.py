@@ -1,16 +1,20 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from drillstab.bitrock import BitRockModel
-from drillstab.dynamics import OperatingPoint
-from drillstab.errors import DomainError, InsufficientSamplesError
-from drillstab.fem import assemble
+from drillstab import stability
+from drillstab.bitrock import BitRockModel, WobRatio, torque_derivative_eval
+from drillstab.dynamics import (LumpedDrillString, OperatingPoint,
+                                 jacobian_1dof)
+from drillstab.errors import DomainError, InsufficientSamplesError, NumericError
+from drillstab.fem import assemble, eigenvalues_general, jacobian_fem
 from drillstab.reference import REFERENCE_PARAMS, W_REF_KN
 from drillstab.stability import (BoundaryCurve, boundary_separation,
                                  boundary_to_csv, classify, classify_trace,
-                                 grid_to_csv, map_deterministic, map_mixture,
+                                 critical_damping, grid_to_csv,
+                                 map_deterministic, map_mixture,
                                  map_stochastic)
 
 
@@ -73,6 +77,173 @@ class TestClassify:
     def test_unknown_plant_rejected(self, m2):
         with pytest.raises(DomainError):
             classify(m2, object(), OperatingPoint(omega=1.0, wob=1.0), W_REF_KN)
+
+
+def unconstrained_m2():
+    """The particles of test_fem_plant_handles_unconstrained_particles: m2
+    draws from independent boxes, some violating t_sb >= t_cb."""
+    rng = np.random.default_rng(4)
+    return np.array(REFERENCE_PARAMS[2])[None, :] \
+        * rng.uniform(0.6, 1.4, size=(100, 3))
+
+
+class TestCriticalDamping:
+    @pytest.mark.parametrize("mesh", [None, (1, 1, 0.006), (8, 2, 0.0021)])
+    def test_matches_eigen_route(self, plant, geometry, mesh):
+        # 1-DOF plant, then the 2-DOF and 10-DOF FE plants
+        if mesh is not None:
+            plant = assemble(geometry, mesh[0], mesh[1], alpha=0.5,
+                             beta=mesh[2])
+        c_star = critical_damping(plant)
+        rng = np.random.default_rng(0)
+        points = [(2, phi) for phi in unconstrained_m2()]
+        for kind in (1, 2, 3, 4):
+            base = np.array(REFERENCE_PARAMS[kind])
+            points += [(kind, base * rng.uniform(0.6, 1.4, size=len(base)))
+                       for _ in range(40)]
+        verdicts = set()
+        for kind, phi in points:
+            law = SimpleNamespace(kind=kind, params=tuple(phi))
+            op = OperatingPoint(omega=rng.uniform(1.0, 20.0),
+                                wob=rng.uniform(0.2, 3.0) * W_REF_KN)
+            r = WobRatio(op.wob, W_REF_KN)
+            a = (jacobian_1dof(law, r, plant, op) if mesh is None
+                 else jacobian_fem(plant, law, r, op))
+            if abs(eigenvalues_general(a).real.max()) < 1e-6:
+                continue
+            c = 1000.0 * torque_derivative_eval(kind, phi, r, op.omega)
+            verdicts.add(c > c_star)
+            assert (c > c_star) == classify(law, plant, op, W_REF_KN)
+        assert verdicts == {True, False}
+
+    def test_one_dof_closed_form(self, plant):
+        assert critical_damping(plant) == pytest.approx(
+            -plant.c_eq, rel=1e-9)
+
+    def test_split_stable_set_raises(self, monkeypatch, m2, plant, geometry):
+        real = stability._rightmost
+
+        def split(p, c):
+            # a stable band of bit damping inside the unstable half-line
+            return np.where((c > -1000) & (c < -500), -1.0, real(p, c))
+        monkeypatch.setattr(stability, "_rightmost", split)
+        for p in (plant, assemble(geometry, 1, 1, alpha=0.5, beta=0.006)):
+            with pytest.raises(NumericError):
+                map_deterministic(m2, p, W_REF_KN, resolution=(10, 10))
+
+    def test_undamped_plant_maps_match_eigen_route(self, geometry):
+        # c* > 0: a particle is unstable at and below its threshold, or
+        # everywhere when its slope is <= 0
+        fem = assemble(geometry, 1, 1, alpha=0.0, beta=0.0)
+        assert critical_damping(fem) > 0
+        for kind in (1, 2, 3, 4):
+            model = BitRockModel(kind=kind, params=REFERENCE_PARAMS[kind])
+            grid, _ = map_deterministic(model, fem, W_REF_KN,
+                                        resolution=(6, 6))
+            for i, om in enumerate(grid.omega_axis):
+                for j, w in enumerate(grid.wob_axis):
+                    op = OperatingPoint(omega=float(om), wob=float(w))
+                    assert grid.stable[i, j] == classify(model, fem, op,
+                                                         W_REF_KN)
+        # a particle set whose m4 slopes change sign along Omega
+        rng = np.random.default_rng(5)
+        phis = np.array(REFERENCE_PARAMS[4])[None, :] \
+            * rng.uniform(0.2, 1.8, size=(100, 4))
+        grid, curve = map_stochastic(4, phis, fem, W_REF_KN,
+                                     resolution=(6, 6), percentile=0.5)
+        for i, om in enumerate(grid.omega_axis):
+            for j, w in enumerate(grid.wob_axis):
+                op = OperatingPoint(omega=float(om), wob=float(w))
+                share = np.mean([not classify(SimpleNamespace(
+                    kind=4, params=tuple(phi)), fem, op, W_REF_KN)
+                    for phi in phis])
+                assert grid.p_unstable[i, j] == pytest.approx(share, abs=1e-12)
+        assert curve.single_valued
+
+    def test_positive_c_star_boundary_below_stable_cells(self):
+        # c_eq below 2e-10 I_eq leaves c* > 0, so a rising law is stable
+        # only above its threshold r* = c* / (1000 * 2 c2 Omega)
+        lumped = LumpedDrillString(i_eq=383.33, c_eq=1e-12, k_eq=277.0)
+        c_star = critical_damping(lumped)
+        assert c_star > 0
+        law = BitRockModel(kind=4, params=(11.8, 0.0, 1e-11, 0.0))
+        grid, curve = map_deterministic(law, lumped, W_REF_KN,
+                                        resolution=(20, 20))
+        assert (np.diff(grid.stable.astype(int), axis=1) >= 0).all()
+        for i, om in enumerate(grid.omega_axis):
+            for j, w in enumerate(grid.wob_axis):
+                op = OperatingPoint(omega=float(om), wob=float(w))
+                assert grid.stable[i, j] == classify_trace(law, lumped, op,
+                                                           W_REF_KN)
+        assert len(curve) > 10 and curve.single_valued
+        for om, w in curve.points:
+            assert w == pytest.approx(
+                W_REF_KN * c_star / (1000.0 * 2e-11 * om), rel=1e-12)
+        rng = np.random.default_rng(6)
+        phis = np.column_stack([np.full(100, 11.8), np.zeros(100),
+                                rng.uniform(0.5, 1.5, 100) * 1e-11,
+                                np.zeros(100)])
+
+        def share(om, w):
+            op = OperatingPoint(omega=float(om), wob=float(w))
+            return np.mean([not classify_trace(SimpleNamespace(
+                kind=4, params=tuple(phi)), lumped, op, W_REF_KN)
+                for phi in phis])
+        grid, curve = map_stochastic(4, phis, lumped, W_REF_KN,
+                                     resolution=(12, 12), percentile=0.5)
+        for i, om in enumerate(grid.omega_axis):
+            for j, w in enumerate(grid.wob_axis):
+                assert grid.p_unstable[i, j] == pytest.approx(share(om, w),
+                                                              abs=1e-12)
+        # each boundary point is the last W at which half the set is unstable
+        assert len(curve) > 5
+        for om, w in curve.points:
+            assert share(om, w) >= 0.5 > share(om, w * (1 + 1e-9))
+
+    def test_damped_maps_cross_once_per_column(self, m1, m2, m3, m4, plant):
+        # c* < 0: stable cells lie below one threshold in every column
+        for model in (m1, m2, m3, m4):
+            grid, curve = map_deterministic(model, plant, W_REF_KN)
+            assert (np.diff(grid.stable.astype(int), axis=1) <= 0).all()
+            assert curve.single_valued
+            assert len(np.unique(curve.points[:, 0])) == len(curve)
+
+    def test_maps_solve_eigenproblems_only_for_c_star(self, monkeypatch, plant,
+                                                      geometry, m2_cloud):
+        calls = []
+
+        def counted(a):
+            calls.append(1)
+            return eigenvalues_general(a)
+        monkeypatch.setattr(stability, "eigenvalues_general", counted)
+        map_stochastic(2, m2_cloud, plant, W_REF_KN, resolution=(20, 20))
+        assert not calls
+        fem = assemble(geometry, 1, 1, alpha=0.5, beta=0.006)
+        map_stochastic(2, m2_cloud, fem, W_REF_KN, resolution=(20, 20))
+        # a fixed bracket, bisection and guard scan, not one per
+        # particle and cell (148 x 400)
+        assert 0 < len(calls) < 400
+        c_star, n_calls = critical_damping(fem), len(calls)
+        map_stochastic(2, m2_cloud, fem, W_REF_KN, resolution=(20, 20),
+                       c_star=c_star)
+        assert len(calls) == n_calls
+
+    def test_dampings_beyond_guarded_span_raise(self, plant):
+        steep = BitRockModel(kind=4, params=(11.8, -1e6, 0.0, 0.0))
+        with pytest.raises(NumericError, match="beyond"):
+            map_deterministic(steep, plant, W_REF_KN, resolution=(4, 4))
+
+    def test_fem_map_cells_match_eigen_route(self, geometry):
+        fem = assemble(geometry, 8, 2, alpha=0.5, beta=0.0021)
+        for kind in (1, 3):
+            model = BitRockModel(kind=kind, params=REFERENCE_PARAMS[kind])
+            grid, _ = map_deterministic(model, fem, W_REF_KN,
+                                        resolution=(8, 8))
+            for i, om in enumerate(grid.omega_axis):
+                for j, w in enumerate(grid.wob_axis):
+                    op = OperatingPoint(omega=float(om), wob=float(w))
+                    assert grid.stable[i, j] == classify(model, fem, op,
+                                                         W_REF_KN)
 
 
 class TestDeterministicMap:
@@ -190,7 +361,7 @@ class TestStochasticMap:
         assert (phis[:, 0] < phis[:, 1]).any()
         fem = assemble(geometry, 1, 1, alpha=0.5, beta=0.006)
         grid, curve = map_stochastic(2, phis, fem, W_REF_KN,
-                                     resolution=(10, 10), refine=4)
+                                     resolution=(10, 10))
         assert ((grid.p_unstable >= 0) & (grid.p_unstable <= 1)).all()
         assert len(curve) > 0
 
@@ -199,7 +370,7 @@ class TestStochasticMap:
         # the FE fast path at a near-lumped discretization must match the
         # vectorized lumped route on the same particle set
         fem = assemble(geometry, 1, 1, alpha=0.5, beta=0.006)
-        kwargs = dict(resolution=(16, 16), refine=6)
+        kwargs = dict(resolution=(16, 16))
         _, fem_curve = map_stochastic(2, m2_cloud, fem, W_REF_KN, **kwargs)
         _, lump_curve = map_stochastic(2, m2_cloud, plant, W_REF_KN, **kwargs)
         cells = (19.0 / 15, 2.8 * W_REF_KN / 15)
