@@ -9,10 +9,12 @@ Four candidate laws relate torque on bit (kN m) to bit angular speed
 * kind 3: Gaussian bump + constant gain - tanh tail, params (a0..a5)
 * kind 4: cubic polynomial, params (c0, c1, c2, c3)
 
-All laws are defined for speed >= 0 only; negative speeds are rejected
-rather than clamped so that integrator bugs surface. Scalar speeds take a
-pure-`math` fast path (the time integrator calls this in a tight loop);
-numpy arrays broadcast through the same formulas.
+Each law's torque and slope T'(speed) are written once, in one table
+(TORQUE_LAWS, SLOPE_LAWS), and its sign constraints once (SIGN_CONSTRAINTS).
+A scalar speed takes the same formula run with `math` (the fast path the
+time integrator binds in its loop); arrays and parameter tables run it with
+numpy. All laws are defined for speed >= 0 only; negative speeds are
+rejected rather than clamped so that integrator bugs surface.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ import numpy as np
 
 from .errors import DomainError
 
-PARAM_COUNTS = {1: 4, 2: 3, 3: 6, 4: 4}
-
 PARAM_NAMES = {
     1: ("b0", "b1", "b2", "b3"),
     2: ("t_sb", "t_cb", "g_b"),
@@ -33,7 +33,61 @@ PARAM_NAMES = {
     4: ("c0", "c1", "c2", "c3"),
 }
 
-MODEL_KINDS = (1, 2, 3, 4)
+PARAM_COUNTS = {k: len(v) for k, v in PARAM_NAMES.items()}
+MODEL_KINDS = tuple(PARAM_NAMES)
+
+# per law: the parameter indices that must be > 0, and a chain of indices
+# whose values must be non-increasing down to >= 0 (m2: t_sb >= t_cb >= 0)
+SIGN_CONSTRAINTS = {1: ((1, 3), ()), 2: ((2,), (0, 1)), 3: ((1, 5), ()), 4: ((), ())}
+
+
+# formulas (rv, p, s, m): p holds floats or (m, 1) columns, m is math or numpy
+def _torque_m1(rv, p, s, m):
+    b0, b1, b2, b3 = p
+    return rv * b0 * (m.tanh(b1 * s) + b2 * s / (1.0 + b3 * s * s))
+
+
+def _slope_m1(rv, p, s, m):
+    b0, b1, b2, b3 = p
+    th = m.tanh(b1 * s)
+    q = 1.0 + b3 * s * s
+    return -rv * b0 * (b1 * (th * th - 1.0) - b2 / q + 2.0 * b2 * b3 * s * s / (q * q))
+
+
+def _torque_m2(rv, p, s, m):
+    t_sb, t_cb, g_b = p
+    return rv * ((t_sb - t_cb) * m.exp(-g_b * s) + t_cb)
+
+
+def _slope_m2(rv, p, s, m):
+    t_sb, t_cb, g_b = p
+    return -rv * (t_sb - t_cb) * g_b * m.exp(-g_b * s)
+
+
+def _torque_m3(rv, p, s, m):
+    a0, a1, a2, a3, a4, a5 = p
+    return rv * (a0 * m.exp(-a1 * (s - a2) ** 2) + a3 - a4 * m.tanh(a5 * s))
+
+
+def _slope_m3(rv, p, s, m):
+    a0, a1, a2, a3, a4, a5 = p
+    th = m.tanh(a5 * s)
+    return rv * (a4 * a5 * (th * th - 1.0)
+                 + (2.0 * a2 - 2.0 * s) * a0 * a1 * m.exp(-a1 * (s - a2) ** 2))
+
+
+def _torque_m4(rv, p, s, m):
+    c0, c1, c2, c3 = p
+    return rv * (c0 + s * (c1 + s * (c2 + s * c3)))
+
+
+def _slope_m4(rv, p, s, m):
+    c0, c1, c2, c3 = p
+    return rv * (c1 + 2.0 * c2 * s + 3.0 * c3 * s * s)
+
+
+TORQUE_LAWS = {1: _torque_m1, 2: _torque_m2, 3: _torque_m3, 4: _torque_m4}
+SLOPE_LAWS = {1: _slope_m1, 2: _slope_m2, 3: _slope_m3, 4: _slope_m4}
 
 
 @dataclass(frozen=True)
@@ -74,18 +128,15 @@ def validate_params(kind: int, params) -> tuple[float, ...]:
         )
     if not all(math.isfinite(v) for v in p):
         raise DomainError(f"model {kind} parameters must be finite, got {p}")
-    if kind == 1:
-        if p[1] <= 0 or p[3] <= 0:
-            raise DomainError("model 1 requires b1 > 0 and b3 > 0")
-    elif kind == 2:
-        t_sb, t_cb, g_b = p
-        if not (t_sb >= t_cb >= 0):
-            raise DomainError("model 2 requires t_sb >= t_cb >= 0")
-        if g_b <= 0:
-            raise DomainError("model 2 requires g_b > 0")
-    elif kind == 3:
-        if p[1] <= 0 or p[5] <= 0:
-            raise DomainError("model 3 requires a1 > 0 and a5 > 0")
+    names, (positive, descending) = PARAM_NAMES[kind], SIGN_CONSTRAINTS[kind]
+    chain = [p[i] for i in descending]
+    if chain and (chain != sorted(chain, reverse=True) or chain[-1] < 0):
+        raise DomainError(f"model {kind} requires "
+                          + " >= ".join(names[i] for i in descending) + " >= 0")
+    for i in positive:
+        if p[i] <= 0:
+            raise DomainError(f"model {kind} requires "
+                              + " and ".join(f"{names[j]} > 0" for j in positive))
     return p
 
 
@@ -117,20 +168,22 @@ class BitRockModel:
         return PARAM_NAMES[self.kind]
 
 
-def _ratio(r) -> float:
+def as_ratio(r) -> float:
+    """The ratio W / W_ref of a WobRatio, or r itself as a float."""
     return r.r if isinstance(r, WobRatio) else float(r)
 
 
-def _check_speed(speed):
-    """Reject negative or non-finite speeds; return scalar flag."""
+def _speed(speed):
+    """Reject negative or non-finite speeds; return the speed and the module
+    its formula runs with (math for a scalar, numpy for an array)."""
     if isinstance(speed, np.ndarray):
         if speed.size and (not np.isfinite(speed).all() or (speed < 0).any()):
             raise DomainError("speeds must be finite and >= 0")
-        return False
+        return speed, np
     s = float(speed)
     if not math.isfinite(s) or s < 0:
         raise DomainError(f"speed must be finite and >= 0, got {speed}")
-    return True
+    return s, math
 
 
 def torque_eval(kind: int, params, r, speed):
@@ -139,23 +192,8 @@ def torque_eval(kind: int, params, r, speed):
     Exists for optimizer and sampler paths that evaluate many candidate
     vectors; library users should go through ``torque``.
     """
-    scalar = _check_speed(speed)
-    m = math if scalar else np
-    s = float(speed) if scalar else speed
-    rv = _ratio(r)
-    p = params
-    k = kind
-    if k == 1:
-        b0, b1, b2, b3 = p
-        return rv * b0 * (m.tanh(b1 * s) + b2 * s / (1.0 + b3 * s * s))
-    if k == 2:
-        t_sb, t_cb, g_b = p
-        return rv * ((t_sb - t_cb) * m.exp(-g_b * s) + t_cb)
-    if k == 3:
-        a0, a1, a2, a3, a4, a5 = p
-        return rv * (a0 * m.exp(-a1 * (s - a2) ** 2) + a3 - a4 * m.tanh(a5 * s))
-    c0, c1, c2, c3 = p
-    return rv * (c0 + s * (c1 + s * (c2 + s * c3)))
+    s, m = _speed(speed)
+    return TORQUE_LAWS[kind](as_ratio(r), params, s, m)
 
 
 def torque(model: BitRockModel, r, speed):
@@ -165,32 +203,22 @@ def torque(model: BitRockModel, r, speed):
 
 def torque_derivative_eval(kind: int, params, r, speed):
     """Derivative for a raw (kind, params) pair; no invariant validation."""
-    scalar = _check_speed(speed)
-    m = math if scalar else np
-    s = float(speed) if scalar else speed
-    rv = _ratio(r)
-    p = params
-    k = kind
-    if k == 1:
-        b0, b1, b2, b3 = p
-        th = m.tanh(b1 * s)
-        q = 1.0 + b3 * s * s
-        return -rv * b0 * (b1 * (th * th - 1.0) - b2 / q + 2.0 * b2 * b3 * s * s / (q * q))
-    if k == 2:
-        t_sb, t_cb, g_b = p
-        return -rv * (t_sb - t_cb) * g_b * m.exp(-g_b * s)
-    if k == 3:
-        a0, a1, a2, a3, a4, a5 = p
-        th = m.tanh(a5 * s)
-        return rv * (a4 * a5 * (th * th - 1.0)
-                     + (2.0 * a2 - 2.0 * s) * a0 * a1 * m.exp(-a1 * (s - a2) ** 2))
-    c0, c1, c2, c3 = p
-    return rv * (c1 + 2.0 * c2 * s + 3.0 * c3 * s * s)
+    s, m = _speed(speed)
+    return SLOPE_LAWS[kind](as_ratio(r), params, s, m)
 
 
 def torque_derivative(model: BitRockModel, r, speed):
     """d(torque)/d(speed) in kN m s/rad (closed forms, scalar or array)."""
     return torque_derivative_eval(model.kind, model.params, r, speed)
+
+
+def _batch(laws, kind, params, r, speeds) -> np.ndarray:
+    rv = as_ratio(r)
+    s = np.asarray(speeds, dtype=float)[None, :]
+    P = np.asarray(params, dtype=float)
+    if P.ndim != 2 or P.shape[1] != PARAM_COUNTS[kind]:
+        raise DomainError(f"params must have shape (m, {PARAM_COUNTS[kind]})")
+    return laws[kind](rv, [P[:, j:j + 1] for j in range(P.shape[1])], s, np)
 
 
 def torque_batch(kind: int, params: np.ndarray, r, speeds: np.ndarray) -> np.ndarray:
@@ -200,45 +228,9 @@ def torque_batch(kind: int, params: np.ndarray, r, speeds: np.ndarray) -> np.nda
     table. No invariant validation: callers (the ABC sampler, stability
     maps) draw parameters from pre-validated boxes.
     """
-    rv = _ratio(r)
-    s = np.asarray(speeds, dtype=float)[None, :]
-    P = np.asarray(params, dtype=float)
-    if P.ndim != 2 or P.shape[1] != PARAM_COUNTS[kind]:
-        raise DomainError(f"params must have shape (m, {PARAM_COUNTS[kind]})")
-    cols = [P[:, j:j + 1] for j in range(P.shape[1])]
-    if kind == 1:
-        b0, b1, b2, b3 = cols
-        return rv * b0 * (np.tanh(b1 * s) + b2 * s / (1.0 + b3 * s * s))
-    if kind == 2:
-        t_sb, t_cb, g_b = cols
-        return rv * ((t_sb - t_cb) * np.exp(-g_b * s) + t_cb)
-    if kind == 3:
-        a0, a1, a2, a3, a4, a5 = cols
-        return rv * (a0 * np.exp(-a1 * (s - a2) ** 2) + a3 - a4 * np.tanh(a5 * s))
-    c0, c1, c2, c3 = cols
-    return rv * (c0 + s * (c1 + s * (c2 + s * c3)))
+    return _batch(TORQUE_LAWS, kind, params, r, speeds)
 
 
 def torque_derivative_batch(kind: int, params: np.ndarray, r, speeds: np.ndarray) -> np.ndarray:
     """Derivative counterpart of torque_batch, shape (m, d)."""
-    rv = _ratio(r)
-    s = np.asarray(speeds, dtype=float)[None, :]
-    P = np.asarray(params, dtype=float)
-    if P.ndim != 2 or P.shape[1] != PARAM_COUNTS[kind]:
-        raise DomainError(f"params must have shape (m, {PARAM_COUNTS[kind]})")
-    cols = [P[:, j:j + 1] for j in range(P.shape[1])]
-    if kind == 1:
-        b0, b1, b2, b3 = cols
-        th = np.tanh(b1 * s)
-        q = 1.0 + b3 * s * s
-        return -rv * b0 * (b1 * (th * th - 1.0) - b2 / q + 2.0 * b2 * b3 * s * s / (q * q))
-    if kind == 2:
-        t_sb, t_cb, g_b = cols
-        return -rv * (t_sb - t_cb) * g_b * np.exp(-g_b * s)
-    if kind == 3:
-        a0, a1, a2, a3, a4, a5 = cols
-        th = np.tanh(a5 * s)
-        return rv * (a4 * a5 * (th * th - 1.0)
-                     + (2.0 * a2 - 2.0 * s) * a0 * a1 * np.exp(-a1 * (s - a2) ** 2))
-    c0, c1, c2, c3 = cols
-    return rv * (c1 + 2.0 * c2 * s + 3.0 * c3 * s * s)
+    return _batch(SLOPE_LAWS, kind, params, r, speeds)

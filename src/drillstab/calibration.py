@@ -17,22 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .bitrock import (BitRockModel, PARAM_COUNTS, params_valid, torque_eval,
-                      validate_params)
+from .bitrock import (BitRockModel, PARAM_COUNTS, SIGN_CONSTRAINTS, params_valid,
+                      torque_eval, validate_params)
 from .dataio import TorqueDataset
 from .errors import DataError, DomainError
 
 _EPS_POSITIVE = 1e-12
-
-# lower/upper box bounds implied by the sign constraints of each law
-_DEFAULT_BOUNDS = {
-    1: [(-np.inf, np.inf), (_EPS_POSITIVE, np.inf), (-np.inf, np.inf),
-        (_EPS_POSITIVE, np.inf)],
-    2: [(0.0, np.inf), (0.0, np.inf), (_EPS_POSITIVE, np.inf)],
-    3: [(-np.inf, np.inf), (_EPS_POSITIVE, np.inf), (-np.inf, np.inf),
-        (-np.inf, np.inf), (-np.inf, np.inf), (_EPS_POSITIVE, np.inf)],
-    4: [(-np.inf, np.inf)] * 4,
-}
 
 
 @dataclass(frozen=True)
@@ -46,7 +36,11 @@ class FitResult:
 
 
 def default_bounds(kind: int) -> list[tuple[float, float]]:
-    return [tuple(b) for b in _DEFAULT_BOUNDS[kind]]
+    """Lower/upper box bounds implied by the sign constraints of a law."""
+    positive, descending = SIGN_CONSTRAINTS[kind]
+    return [(_EPS_POSITIVE, np.inf) if j in positive
+            else (0.0, np.inf) if j in descending
+            else (-np.inf, np.inf) for j in range(PARAM_COUNTS[kind])]
 
 
 def metric_arrays(kind: int, params, r, speeds: np.ndarray,

@@ -57,12 +57,20 @@ def _model_list(text: str) -> list[int]:
     return [_model_kind(tok.strip()) for tok in text.split(",") if tok.strip()]
 
 
+def _floats(text: str, flag: str) -> list[float]:
+    """Parse the comma-separated numbers given to ``flag``."""
+    try:
+        return [float(tok) for tok in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} takes comma-separated numbers, got {text!r}") from None
+
+
 def _params_for(kind: int, spec) -> tuple[float, ...]:
-    """Resolve a parameter spec: None/'reference' or explicit floats."""
+    """Resolve a parameter spec: None/'reference', a --params string or floats."""
     if spec in (None, "reference"):
         return REFERENCE_PARAMS[kind]
     if isinstance(spec, str):
-        spec = [float(tok) for tok in spec.split(",")]
+        spec = _floats(spec, "--params")
     vals = tuple(float(v) for v in spec)
     if len(vals) != PARAM_COUNTS[kind]:
         raise ConfigError(
@@ -131,13 +139,14 @@ def run_gen_data(config: dict) -> list[str]:
 
 def _fit_models(dataset, kinds, config) -> dict[int, "FitResult"]:
     r = WobRatio.from_ratio(float(config.get("r", 1.0)), dataset.w_ref)
-    if config.get("initial") is not None and len(kinds) != 1:
+    initial = config.get("initial")
+    if initial is not None and len(kinds) != 1:
         raise ConfigError("--initial applies to a single --models entry")
+    if isinstance(initial, str) and initial != "reference":
+        initial = _floats(initial, "--initial")
     results = {}
     for kind in kinds:
-        initial = _params_for(kind, config.get("initial")
-                              if len(kinds) == 1 else None)
-        results[kind] = fit(dataset, kind, r, initial,
+        results[kind] = fit(dataset, kind, r, _params_for(kind, initial),
                             max_evals=int(config.get("max_evals", 50_000)),
                             n_starts=int(config.get("starts", 1)),
                             jitter=float(config.get("jitter", 0.2)),
@@ -192,7 +201,7 @@ def run_abc(config: dict) -> list[str]:
 
     model_prior = config.get("model_prior") or [0.25] * 4
     if isinstance(model_prior, str):
-        model_prior = [float(tok) for tok in model_prior.split(",")]
+        model_prior = _floats(model_prior, "--model-prior")
     state = abc_mod.run(dataset, priors, model_prior=model_prior,
                         n=int(config.get("n", 25_000)),
                         eps_floor=float(config.get("eps_floor", 0.014)),
@@ -378,7 +387,7 @@ def run_map(config: dict) -> list[str]:
                     raise DataError("no particles for the mixture components")
                 weights = [c / total for c in counts]
             elif isinstance(weights, str):
-                weights = [float(tok) for tok in weights.split(",")]
+                weights = _floats(weights, "--weights")
             grid, curve = map_mixture(sets, weights, plant, w_ref,
                                       percentile=pct,
                                       min_particles=min_particles, **kwargs)
@@ -449,11 +458,13 @@ _COMMANDS = {
 
 
 def run_replay(config: dict) -> list[str]:
-    manifest = json.loads(Path(config["manifest"]).read_text())
-    command = manifest["command"]
+    try:
+        manifest = json.loads(Path(config["manifest"]).read_text())
+        command, inner = manifest["command"], dict(manifest["config"])
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"cannot read manifest {config['manifest']}: {exc}") from None
     if command not in _COMMANDS:
         raise ConfigError(f"manifest names unknown command {command!r}")
-    inner = dict(manifest["config"])
     if config.get("out_dir"):
         inner["out_dir"] = config["out_dir"]
     out = _out_dir(inner)

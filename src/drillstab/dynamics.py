@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitrock import BitRockModel, torque, torque_derivative
+from .bitrock import BitRockModel, TORQUE_LAWS, as_ratio, torque, torque_derivative
 from .errors import DomainError, IntegrationError
 
 KNM_TO_NM = 1000.0
@@ -177,8 +177,10 @@ def simulate(model: BitRockModel, r, ds: LumpedDrillString, op: OperatingPoint,
     thetas = np.empty(n_steps + 1)
     speeds = np.empty(n_steps + 1)
 
-    # locals for the hot loop
+    # locals for the hot loop; acc rejects non-finite states and clamps the
+    # speed to >= 0, so the law runs without torque()'s speed checks
     i_eq, c_eq, k_eq = ds.i_eq, ds.c_eq, ds.k_eq
+    law, params, rv = TORQUE_LAWS[model.kind], model.params, as_ratio(r)
     omega = op.omega
     t0 = initial.time
 
@@ -188,7 +190,7 @@ def simulate(model: BitRockModel, r, ds: LumpedDrillString, op: OperatingPoint,
     def acc(th, v, t):
         if not (math.isfinite(th) and math.isfinite(v)):
             raise _Diverged
-        tq = KNM_TO_NM * torque(model, r, v if v > 0.0 else 0.0)
+        tq = KNM_TO_NM * law(rv, params, v if v > 0.0 else 0.0, math)
         return (k_eq * (omega * t - th) + c_eq * (omega - v) - tq) / i_eq
 
     th, v = initial.theta, initial.theta_dot

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drillstab.bitrock import (BitRockModel, PARAM_COUNTS, WobRatio, torque,
-                               torque_batch, torque_derivative,
-                               torque_derivative_batch)
+from drillstab.bitrock import (BitRockModel, PARAM_COUNTS, SIGN_CONSTRAINTS,
+                               WobRatio, torque, torque_batch,
+                               torque_derivative, torque_derivative_batch,
+                               validate_params)
+from drillstab.calibration import default_bounds
 from drillstab.errors import DomainError
 from drillstab.reference import REFERENCE_PARAMS, W_REF_KN
 
@@ -100,6 +102,17 @@ class TestInvariants:
         with pytest.raises(DomainError):
             BitRockModel(kind=kind, params=params)
 
+    @pytest.mark.parametrize("kind", [1, 2, 3])
+    def test_positive_indices_reject_zero_accept_lower_bound(self, kind):
+        positive, _ = SIGN_CONSTRAINTS[kind]
+        for j in positive:
+            p = list(REFERENCE_PARAMS[kind])
+            p[j] = 0.0
+            with pytest.raises(DomainError):
+                validate_params(kind, p)
+            p[j] = default_bounds(kind)[j][0]
+            assert validate_params(kind, p)[j] == 1e-12
+
     def test_reference_values_are_valid(self):
         for kind, params in REFERENCE_PARAMS.items():
             BitRockModel(kind=kind, params=params)
@@ -179,9 +192,9 @@ def test_batch_matches_scalar_paths(r1):
         assert tq.shape == (5, 17)
         for i in range(5):
             model = BitRockModel(kind=kind, params=tuple(table[i]))
-            assert tq[i] == pytest.approx(torque(model, r1, speeds), rel=1e-12)
-            assert dq[i] == pytest.approx(torque_derivative(model, r1, speeds),
-                                          rel=1e-12)
+            # both paths run the same formula on the same operands
+            assert np.array_equal(tq[i], torque(model, r1, speeds))
+            assert np.array_equal(dq[i], torque_derivative(model, r1, speeds))
 
 
 def test_param_counts():

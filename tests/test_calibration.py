@@ -114,6 +114,14 @@ class TestFit:
         for kind, count in ((1, 4), (2, 3), (3, 6), (4, 4)):
             assert len(default_bounds(kind)) == count
 
+    def test_default_bounds_table(self):
+        eps, inf = 1e-12, np.inf
+        assert default_bounds(1) == [(-inf, inf), (eps, inf), (-inf, inf), (eps, inf)]
+        assert default_bounds(2) == [(0.0, inf), (0.0, inf), (eps, inf)]
+        assert default_bounds(3) == [(-inf, inf), (eps, inf), (-inf, inf),
+                                     (-inf, inf), (-inf, inf), (eps, inf)]
+        assert default_bounds(4) == [(-inf, inf)] * 4
+
 
 def test_fit_all_runs_every_model(m3, r1):
     ds = synthesize(m3, r1, noise_std=0.4, seed=5)

@@ -53,6 +53,11 @@ class TestGenData:
         assert code == 2
         assert "m1" in capsys.readouterr().err
 
+    def test_non_numeric_params_exit_2(self, tmp_path, capsys):
+        assert run_cli("gen-data", "--out-dir", tmp_path, "--model", "m2",
+                       "--params", "a,b,c") == 2
+        assert "--params" in capsys.readouterr().err
+
     def test_explicit_params(self, tmp_path):
         code = run_cli("gen-data", "--out-dir", tmp_path, "--model", "m2",
                        "--params", "12,6,0.25", "--n", "10")
@@ -80,6 +85,12 @@ class TestFit:
                        dataset_dir / "dataset.csv", "--models", "m1,m2",
                        "--initial", "1,2,3")
         assert code == 2
+
+    def test_non_numeric_initial_exits_2(self, dataset_dir, tmp_path, capsys):
+        assert run_cli("fit", "--out-dir", tmp_path, "--data",
+                       dataset_dir / "dataset.csv", "--models", "m2",
+                       "--initial", "13,x,0.3") == 2
+        assert "--initial" in capsys.readouterr().err
 
     def test_too_few_calibration_rows_exits_4(self, tmp_path):
         data = tmp_path / "thin.csv"
@@ -151,6 +162,13 @@ class TestAbc:
         center = [float(v) for v in state["priors"]["2"]["center"]]
         assert center == pytest.approx(list(REFERENCE_PARAMS[2]))
 
+    def test_non_numeric_model_prior_exits_2(self, dataset_dir, tmp_path,
+                                             capsys):
+        assert run_cli("abc", "--out-dir", tmp_path, "--data",
+                       dataset_dir / "dataset.csv", "--prior-centers",
+                       "reference", "--model-prior", "x,1,1,1") == 2
+        assert "--model-prior" in capsys.readouterr().err
+
     def test_stall_maps_to_exit_3(self, dataset_dir, tmp_path, monkeypatch):
         def fake_run(*args, **kwargs):
             raise StallError("stalled", epsilon=1e-9, attempts=10)
@@ -199,6 +217,13 @@ class TestMap:
                        "--resolution", "20")
         assert code == 0
         assert (out2 / "map_mixture_boundary.csv").exists()
+
+    def test_non_numeric_weights_exit_2(self, abc_dir, tmp_path, capsys):
+        assert run_cli("map", "--out-dir", tmp_path, "--mode", "mixture",
+                       "--abc-state", abc_dir / "abc_state",
+                       "--models", "m2,m3", "--min-particles", "30",
+                       "--weights", "0.5,y") == 2
+        assert "--weights" in capsys.readouterr().err
 
     def test_damaged_abc_state_exits_4(self, abc_dir, tmp_path):
         bundle = tmp_path / "abc_state"
@@ -277,3 +302,13 @@ class TestReplayDeterminism:
         assert a.keys() == b.keys()
         for name in a:
             assert a[name] == b[name]
+
+    def test_missing_manifest_exits_4(self, tmp_path):
+        assert run_cli("replay", "--manifest", tmp_path / "manifest.json",
+                       "--out-dir", tmp_path / "out") == 4
+
+    def test_malformed_manifest_exits_4(self, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text('{"command": "fem-modes", "config"')
+        assert run_cli("replay", "--manifest", manifest,
+                       "--out-dir", tmp_path / "out") == 4

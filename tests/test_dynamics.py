@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drillstab.bitrock import BitRockModel
+from drillstab.bitrock import BitRockModel, WobRatio
 from drillstab.dynamics import (LumpedDrillString, OperatingPoint,
                                 TorsionalState, equilibrium_state,
                                 equilibrium_twist, jacobian_1dof, simulate,
                                 state_space_rhs)
 from drillstab.errors import DomainError, IntegrationError
-from drillstab.reference import W_REF_KN
+from drillstab.reference import REFERENCE_PARAMS, W_REF_KN
 
 
 class TestFromModal:
@@ -153,6 +153,33 @@ class TestSimulate:
         with pytest.raises(IntegrationError) as err:
             simulate(runaway, r1, plant, op, start, t_end=2.0, dt=1e-3)
         assert 0.0 <= err.value.last_valid_time < 2.0
+
+    @pytest.mark.parametrize("kind", [1, 2, 3, 4])
+    @pytest.mark.parametrize("r", [0.8, WobRatio(w=300.0, w_ref=W_REF_KN)])
+    def test_first_step_is_rk4_of_state_space_rhs(self, kind, r, plant):
+        model = BitRockModel(kind=kind, params=REFERENCE_PARAMS[kind])
+        op = OperatingPoint(omega=7.0, wob=W_REF_KN)
+        start = equilibrium_state(model, r, plant, op, time=0.3,
+                                  speed_perturbation=0.2)
+        dt, half = 1e-3, 0.5e-3
+
+        def acc(th, v, t):
+            return state_space_rhs(model, r, plant, op,
+                                   TorsionalState(theta=th, theta_dot=v, time=t))[1]
+
+        th, v, t = start.theta, start.theta_dot, start.time
+        a1 = acc(th, v, t)
+        th2, v2 = th + half * v, v + half * a1
+        a2 = acc(th2, v2, t + half)
+        th3, v3 = th + half * v2, v + half * a2
+        a3 = acc(th3, v3, t + half)
+        th4, v4 = th + dt * v3, v + dt * a3
+        a4 = acc(th4, v4, t + dt)
+        v_new = v + dt * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
+        th_new = th + dt * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0
+        assert v_new > 0.0
+        step = simulate(model, r, plant, op, start, t_end=2 * dt, dt=dt)[1]
+        assert (step.theta, step.theta_dot) == (th_new, v_new)
 
     def test_bad_steps_rejected(self, m2, r1, plant):
         op = OperatingPoint(omega=5.0, wob=W_REF_KN)
