@@ -22,18 +22,18 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-import scipy.stats
 
-from .bitrock import MODEL_KINDS, PARAM_COUNTS, torque_batch
+from .bitrock import MODEL_KINDS, PARAM_COUNTS, PARAM_NAMES, torque_batch
 from .calibration import FitResult
 from .dataio import TorqueDataset
-from .errors import (DataError, DomainError, InsufficientSamplesError,
-                     StallError)
+from .errors import (DataError, DomainError, DrillstabError,
+                     InsufficientSamplesError, StallError)
 
 MAX_PARAMS = max(PARAM_COUNTS.values())
 
@@ -223,37 +223,35 @@ def run(dataset: TorqueDataset, priors: dict[int, PriorSpec],
     threads = max(1, int(threads))
 
     def generate(pop_index: int, eps: float) -> Population:
-        kinds = np.empty(0, dtype=int)
-        phis = np.empty((0, MAX_PARAMS))
-        dists = np.empty(0)
+        kinds = np.empty(n, dtype=int)
+        phis = np.empty((n, MAX_PARAMS))
+        dists = np.empty(n)
+        have = 0
         attempts = 0
         window_attempts = 0
         window_accepts = 0
         chunk_index = 0
 
         def consume(result):
-            nonlocal kinds, phis, dists, attempts
-            nonlocal window_attempts, window_accepts
+            nonlocal have, attempts, window_attempts, window_accepts
             ck, cp, cd = result
-            acc = cd < eps
-            n_have = len(kinds)
-            if n_have >= n:
+            if have >= n:
                 return
-            idx = np.flatnonzero(acc)
-            if len(idx) > n - n_have:
-                idx = idx[:n - n_have]
+            idx = np.flatnonzero(cd < eps)
+            if len(idx) > n - have:
+                idx = idx[:n - have]
                 # attempts counted up to and including the Nth acceptance
                 attempts += int(idx[-1]) + 1
             else:
                 attempts += len(ck)
-            kinds = np.concatenate([kinds, ck[idx]])
-            phis = np.concatenate([phis, cp[idx]])
-            dists = np.concatenate([dists, cd[idx]])
+            for buf, chunk in ((kinds, ck), (phis, cp), (dists, cd)):
+                buf[have:have + len(idx)] = chunk[idx]
+            have += len(idx)
             window_attempts += len(ck)
             window_accepts += len(idx)
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            while len(kinds) < n:
+            while have < n:
                 wave = [pool.submit(_propose_chunk, seed, pop_index, c, _CHUNK,
                                     cum_prior, priors, speeds, y, ynorm, r)
                         for c in range(chunk_index, chunk_index + threads)]
@@ -305,25 +303,21 @@ def model_posterior(state: AbcState, g: int) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class PosteriorStats:
-    """Marginal and correlation summaries for one model's particles."""
+    """Histograms and Pearson correlations of one model's particles."""
 
     kind: int
     n_particles: int
     param_names: tuple[str, ...]
     bin_edges: list[np.ndarray]          # per parameter, over the prior box
     bin_counts: list[np.ndarray]
-    kde_grids: list[np.ndarray | None]   # None for degenerate parameters
-    kde_densities: list[np.ndarray | None]
     correlation: np.ndarray              # NaN rows/cols for degenerate params
     degenerate: tuple[int, ...]          # zero-variance parameter indices
 
 
-def posterior_stats(state: AbcState, g: int, kind: int, bins: int = 64,
-                    kde_points: int = 256) -> PosteriorStats:
-    """Histograms (fixed prior-box binning), KDE curves, and the Pearson
-    correlation matrix of model ``kind``'s particles in population g."""
-    from .bitrock import PARAM_NAMES
-
+def posterior_stats(state: AbcState, g: int, kind: int,
+                    bins: int = 64) -> PosteriorStats:
+    """Histograms (fixed prior-box binning) and the Pearson correlation
+    matrix of model ``kind``'s particles in population g."""
     pop = state.population(g)
     phi = pop.particles_of(kind)
     m = len(phi)
@@ -337,33 +331,21 @@ def posterior_stats(state: AbcState, g: int, kind: int, bins: int = 64,
     spread = phi.max(axis=0) - phi.min(axis=0)
     degenerate = tuple(int(j) for j in np.flatnonzero(spread == 0))
 
-    edges, counts, kde_grids, kde_dens = [], [], [], []
+    edges, counts = [], []
     for j in range(p):
         c, e = np.histogram(phi[:, j], bins=bins,
                             range=(float(prior.lo[j]), float(prior.hi[j])))
         edges.append(e)
         counts.append(c)
-        if j in degenerate:
-            kde_grids.append(None)
-            kde_dens.append(None)
-        else:
-            grid = np.linspace(float(prior.lo[j]), float(prior.hi[j]), kde_points)
-            kde = scipy.stats.gaussian_kde(phi[:, j])
-            kde_grids.append(grid)
-            kde_dens.append(kde(grid))
 
     corr = np.full((p, p), np.nan)
     np.fill_diagonal(corr, 1.0)
     ok = [j for j in range(p) if j not in degenerate]
     if len(ok) >= 2:
-        sub = np.corrcoef(phi[:, ok], rowvar=False)
-        for a, ja in enumerate(ok):
-            for b, jb in enumerate(ok):
-                corr[ja, jb] = sub[a, b]
+        corr[np.ix_(ok, ok)] = np.corrcoef(phi[:, ok], rowvar=False)
     return PosteriorStats(kind=kind, n_particles=m,
                           param_names=PARAM_NAMES[kind], bin_edges=edges,
-                          bin_counts=counts, kde_grids=kde_grids,
-                          kde_densities=kde_dens, correlation=corr,
+                          bin_counts=counts, correlation=corr,
                           degenerate=degenerate)
 
 
@@ -387,26 +369,23 @@ def predictive_envelope(state: AbcState, g: int, kind: int, speeds,
     speeds = np.asarray(speeds, dtype=float)
     curves = torque_batch(kind, phi, r, speeds)
     q_lo = (1.0 - coverage) / 2.0
-    low = np.quantile(curves, q_lo, axis=0)
-    high = np.quantile(curves, 1.0 - q_lo, axis=0)
-    return low, high
+    return tuple(np.quantile(curves, [q_lo, 1.0 - q_lo], axis=0))
 
 
 def save_state(state: AbcState, directory) -> Path:
     """Serialize to a CSV bundle plus a JSON manifest; returns the dir."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    header = ("model_tag," + ",".join(f"phi{j}" for j in range(MAX_PARAMS))
+              + ",distance")
     for g, pop in enumerate(state.populations, start=1):
-        lines = ["model_tag," + ",".join(f"phi{j}" for j in range(MAX_PARAMS))
-                 + ",distance"]
-        for i in range(len(pop)):
-            cells = [str(int(pop.kinds[i]))]
-            cells += [repr(float(v)) if not math.isnan(v) else ""
-                      for v in pop.phis[i]]
-            cells.append(repr(float(pop.distances[i])))
-            lines.append(",".join(cells))
+        columns = [map(str, pop.kinds.astype(int).tolist())]
+        columns += [["" if c == "nan" else c for c in map(repr, col.tolist())]
+                    for col in pop.phis.T]
+        columns.append(map(repr, pop.distances.tolist()))
+        rows = map(",".join, zip(*columns))
         (directory / f"population_{g:02d}.csv").write_text(
-            "\n".join(lines) + "\n", encoding="utf-8")
+            "\n".join([header, *rows]) + "\n", encoding="utf-8")
     manifest = {
         "n": state.n,
         "seed": state.seed,
@@ -431,64 +410,86 @@ def save_state(state: AbcState, directory) -> Path:
 
 def load_state(directory) -> AbcState:
     """Rebuild an AbcState from a ``save_state`` bundle. DataError for a
-    missing or unreadable bundle, or a population whose row count, model
-    tags, NaN padding or distances do not fit n, 1-4, the tags' parameter
-    counts or the tolerance."""
+    missing or unreadable bundle, or a population whose row count, cells
+    per row, model tags, NaN padding or distances do not fit n, the header,
+    1-4, the tags' parameter counts or the tolerance."""
     directory = Path(directory)
-    try:
-        state = _parse_state(directory)
-    except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:
-        raise DataError(f"cannot read ABC state bundle {directory}: "
-                        f"{type(exc).__name__}: {exc}") from exc
-    counts = np.array([PARAM_COUNTS.get(k, 0) for k in range(max(MODEL_KINDS) + 1)])
-    for g, pop in enumerate(state.populations, start=1):
-        if len(pop) != state.n:
-            raise DataError(f"population {g} has {len(pop)} rows, "
-                            f"expected n = {state.n}")
-        if not np.isin(pop.kinds, MODEL_KINDS).all():
-            raise DataError(f"population {g} has model tags outside {MODEL_KINDS}")
-        if not np.array_equal(np.isfinite(pop.phis),
-                              np.arange(MAX_PARAMS) < counts[pop.kinds, None]):
-            raise DataError(f"population {g} has parameter cells that do not "
-                            "match the NaN padding of their model tags")
-        if not (pop.distances < pop.tolerance).all():
-            raise DataError(f"population {g} has distances at or above its "
-                            f"tolerance {pop.tolerance!r}")
+    with _bundle_errors(directory):
+        state, attempts = _parse_manifest(directory)
+        state.populations = [_read_population(directory, state, attempts, g)
+                             for g in range(1, len(state.tolerances) + 1)]
     return state
 
 
-def _parse_state(directory: Path) -> AbcState:
+def load_population(directory, g: int | None = None) -> tuple[int, Population]:
+    """Population g (default: the last) of a ``save_state`` bundle and its
+    index, with the manifest parse and the checks of ``load_state`` but
+    without reading the other populations."""
+    directory = Path(directory)
+    with _bundle_errors(directory):
+        state, attempts = _parse_manifest(directory)
+        g = len(state.tolerances) if g is None else g
+        if not 1 <= g <= len(state.tolerances):
+            raise DomainError(f"population index must be in "
+                              f"1..{len(state.tolerances)}, got {g}")
+        return g, _read_population(directory, state, attempts, g)
+
+
+@contextmanager
+def _bundle_errors(directory: Path):
+    try:
+        yield
+    except DrillstabError:
+        raise
+    except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:
+        raise DataError(f"cannot read ABC state bundle {directory}: "
+                        f"{type(exc).__name__}: {exc}") from exc
+
+
+def _parse_manifest(directory: Path) -> tuple[AbcState, list[int]]:
+    """The state without its populations, and each population's attempts."""
     manifest = json.loads((directory / "abc_state.json").read_text())
-    priors = {}
-    for k, pr in manifest["priors"].items():
-        kind = int(k)
-        center = np.array([float(v) for v in pr["center"]])
-        priors[kind] = PriorSpec(kind=kind, delta=float(pr["delta"]),
-                                 center=center,
-                                 lo=np.array([float(v) for v in pr["lo"]]),
-                                 hi=np.array([float(v) for v in pr["hi"]]))
-    tolerances = [float(t) for t in manifest["tolerances"]]
-    populations = []
-    for g, (eps, attempts) in enumerate(zip(tolerances, manifest["attempts"]),
-                                        start=1):
-        text = (directory / f"population_{g:02d}.csv").read_text()
-        rows = text.strip().split("\n")[1:]
-        kinds = np.empty(len(rows), dtype=int)
-        phis = np.full((len(rows), MAX_PARAMS), np.nan)
-        dists = np.empty(len(rows))
-        for i, row in enumerate(rows):
-            cells = row.split(",")
-            kinds[i] = int(cells[0])
-            for j in range(MAX_PARAMS):
-                if cells[1 + j]:
-                    phis[i, j] = float(cells[1 + j])
-            dists[i] = float(cells[-1])
-        populations.append(Population(kinds=kinds, phis=phis, distances=dists,
-                                      tolerance=eps, attempts=int(attempts)))
-    return AbcState(populations=populations, tolerances=tolerances,
-                    next_tolerance=float(manifest["next_tolerance"]),
-                    stopped_by=manifest["stopped_by"], n=int(manifest["n"]),
-                    seed=int(manifest["seed"]),
-                    eps_floor=float(manifest["eps_floor"]),
-                    model_prior=tuple(float(p) for p in manifest["model_prior"]),
-                    priors=priors)
+    priors = {int(k): PriorSpec(kind=int(k), delta=float(pr["delta"]),
+                                **{key: np.array([float(v) for v in pr[key]])
+                                   for key in ("center", "lo", "hi")})
+              for k, pr in manifest["priors"].items()}
+    state = AbcState(populations=[],
+                     tolerances=[float(t) for t in manifest["tolerances"]],
+                     next_tolerance=float(manifest["next_tolerance"]),
+                     stopped_by=manifest["stopped_by"], n=int(manifest["n"]),
+                     seed=int(manifest["seed"]),
+                     eps_floor=float(manifest["eps_floor"]),
+                     model_prior=tuple(float(p) for p in manifest["model_prior"]),
+                     priors=priors)
+    return state, [int(a) for a in manifest["attempts"]]
+
+
+def _read_population(directory: Path, state: AbcState, attempts: list[int],
+                     g: int) -> Population:
+    """Parse population g and check it against the manifest."""
+    text = (directory / f"population_{g:02d}.csv").read_text()
+    rows = text.strip().split("\n")[1:]
+    width = MAX_PARAMS + 2
+    if any(row.count(",") != width - 1 for row in rows):
+        raise DataError(f"population {g} has rows without {width} cells")
+    cells = ",".join(rows).split(",")
+    kinds = np.array([int(c) for c in cells[::width]], dtype=int)
+    phis = np.array([[float(c) if c else math.nan for c in cells[1 + j::width]]
+                     for j in range(MAX_PARAMS)]).T.copy()
+    dists = np.array([float(c) for c in cells[width - 1::width]])
+    eps = state.tolerances[g - 1]
+    if len(rows) != state.n:
+        raise DataError(f"population {g} has {len(rows)} rows, "
+                        f"expected n = {state.n}")
+    if not np.isin(kinds, MODEL_KINDS).all():
+        raise DataError(f"population {g} has model tags outside {MODEL_KINDS}")
+    counts = np.array([PARAM_COUNTS.get(k, 0) for k in range(max(MODEL_KINDS) + 1)])
+    if not np.array_equal(np.isfinite(phis),
+                          np.arange(MAX_PARAMS) < counts[kinds, None]):
+        raise DataError(f"population {g} has parameter cells that do not "
+                        "match the NaN padding of their model tags")
+    if not (dists < eps).all():
+        raise DataError(f"population {g} has distances at or above its "
+                        f"tolerance {eps!r}")
+    return Population(kinds=kinds, phis=phis, distances=dists, tolerance=eps,
+                      attempts=attempts[g - 1])

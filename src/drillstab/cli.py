@@ -191,13 +191,11 @@ def run_abc(config: dict) -> list[str]:
     if centers_mode == "reference":
         centers = {k: REFERENCE_PARAMS[k] for k in MODEL_KINDS}
     elif centers_mode == "fit":
-        fits = _fit_models(dataset, list(MODEL_KINDS),
-                           {**config, "starts": int(config.get("starts", 3))})
-        centers = {k: res.model.params for k, res in fits.items()}
+        centers = _fit_models(dataset, list(MODEL_KINDS),
+                              {**config, "starts": int(config.get("starts", 3))})
     else:
         raise ConfigError("prior_centers must be 'fit' or 'reference'")
-    priors = {k: abc_mod.PriorSpec.from_center(k, c, delta)
-              for k, c in centers.items()}
+    priors = abc_mod.build_priors(centers, delta)
 
     model_prior = config.get("model_prior") or [0.25] * 4
     if isinstance(model_prior, str):
@@ -352,9 +350,9 @@ def run_map(config: dict) -> list[str]:
     elif mode in ("stochastic", "mixture"):
         if "abc_state" not in config:
             raise ConfigError(f"--abc-state is required for mode {mode}")
-        state = abc_mod.load_state(config["abc_state"])
-        g = int(config.get("population", state.n_populations))
-        pop = state.population(g)
+        g = config.get("population")
+        g, pop = abc_mod.load_population(config["abc_state"],
+                                         None if g is None else int(g))
         kinds = _model_list(config.get("models", "m2,m3"))
         pct = float(config.get("percentile", 0.02))
         min_particles = int(config.get("min_particles", 100))

@@ -35,6 +35,44 @@ def accept_all(m3_dataset, reference_priors):
                    max_populations=1, seed=5)
 
 
+def concatenating_population(dataset, priors, seed, pop_index, eps, n):
+    """One population built chunk by chunk with np.concatenate; attempts
+    run up to and including the Nth acceptance when a chunk overshoots."""
+    _, cum_prior = abc._normalize_model_prior((0.25, 0.25, 0.25, 0.25))
+    y = dataset.calibration_torques
+    kinds, phis = np.empty(0, dtype=int), np.empty((0, abc.MAX_PARAMS))
+    dists, attempts, chunk = np.empty(0), 0, 0
+    while len(kinds) < n:
+        ck, cp, cd = abc._propose_chunk(seed, pop_index, chunk, abc._CHUNK,
+                                        cum_prior, priors,
+                                        dataset.calibration_speeds, y,
+                                        float(np.dot(y, y)), 1.0)
+        chunk += 1
+        idx = np.flatnonzero(cd < eps)
+        if len(idx) > n - len(kinds):
+            idx = idx[:n - len(kinds)]
+            attempts += int(idx[-1]) + 1
+        else:
+            attempts += len(ck)
+        kinds = np.concatenate([kinds, ck[idx]])
+        phis = np.concatenate([phis, cp[idx]])
+        dists = np.concatenate([dists, cd[idx]])
+    return kinds, phis, dists, attempts
+
+
+def per_cell_population_csv(pop):
+    """The population CSV written one cell at a time."""
+    lines = ["model_tag," + ",".join(f"phi{j}" for j in range(abc.MAX_PARAMS))
+             + ",distance"]
+    for i in range(len(pop)):
+        cells = [str(int(pop.kinds[i]))]
+        cells += [repr(float(v)) if not math.isnan(v) else ""
+                  for v in pop.phis[i]]
+        cells.append(repr(float(pop.distances[i])))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
 class TestPriors:
     def test_positive_center(self):
         spec = abc.PriorSpec.from_center(4, (10.0, 10.0, 10.0, 10.0), 0.4)
@@ -146,6 +184,23 @@ class TestRun:
         assert err.value.epsilon > 0
         assert err.value.attempts > 0
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_buffers_match_concatenating_reference(self, m3_dataset,
+                                                    reference_priors, threads):
+        n = 3000     # population 1 ends mid-chunk; later ones span chunks
+        state = abc.run(m3_dataset, reference_priors, n=n, max_populations=4,
+                        seed=6, threads=threads)
+        assert state.n_populations == 4
+        for g, pop in enumerate(state.populations, start=1):
+            kinds, phis, dists, attempts = concatenating_population(
+                m3_dataset, reference_priors, 6, g - 1, pop.tolerance, n)
+            assert attempts % abc._CHUNK != 0
+            assert np.array_equal(pop.kinds, kinds)
+            assert np.array_equal(pop.phis, phis, equal_nan=True)
+            assert np.array_equal(pop.distances, dists)
+            assert pop.attempts == attempts
+        assert max(p.attempts for p in state.populations) > abc._CHUNK
+
     def test_missing_priors_rejected(self, m3_dataset, reference_priors):
         partial = {k: v for k, v in reference_priors.items() if k != 3}
         with pytest.raises(DomainError, match="missing"):
@@ -252,6 +307,17 @@ class TestPredictiveEnvelope:
                                             coverage=0.0)
         assert np.array_equal(low, high)
 
+    @pytest.mark.parametrize("coverage", [0.98, 0.0])
+    def test_matches_two_quantile_calls(self, small_state, coverage):
+        speeds = np.linspace(0.5, 15, 40)
+        low, high = abc.predictive_envelope(small_state, 2, 3, speeds,
+                                            coverage=coverage)
+        curves = torque_batch(3, small_state.population(2).particles_of(3),
+                              1.0, speeds)
+        q_lo = (1.0 - coverage) / 2.0
+        assert np.array_equal(low, np.quantile(curves, q_lo, axis=0))
+        assert np.array_equal(high, np.quantile(curves, 1.0 - q_lo, axis=0))
+
     def test_requires_enough_particles(self, reference_priors):
         state = self._degenerate_state(reference_priors, n=20)
         with pytest.raises(InsufficientSamplesError):
@@ -292,6 +358,35 @@ class TestSerialization:
         for k in MODEL_KINDS:
             assert np.array_equal(back.priors[k].lo, small_state.priors[k].lo)
             assert np.array_equal(back.priors[k].hi, small_state.priors[k].hi)
+
+    def test_writer_matches_per_cell_reference(self, small_state,
+                                               reference_priors, tmp_path):
+        # all four laws with their NaN padding; negative, tiny, huge and
+        # round values; population 1 at tolerance inf
+        values = [-1.302, 5e-324, -2.2250738585072014e-308,
+                  1.7976931348623157e308, -0.0, 1e16, 1e-05, 0.1,
+                  -123456.789, 3.0]
+        kinds = np.array([1, 2, 3, 4, 3, 2, 1, 4])
+        phis = np.full((len(kinds), abc.MAX_PARAMS), np.nan)
+        for i, k in enumerate(kinds):
+            phis[i, :PARAM_COUNTS[k]] = np.roll(values, i)[:PARAM_COUNTS[k]]
+        first = abc.Population(kinds=kinds, phis=phis,
+                               distances=np.array(values[:8]),
+                               tolerance=math.inf, attempts=8)
+        second = abc.Population(kinds=kinds[::-1], phis=phis[::-1],
+                                distances=np.array([1e-300, 0.5, 2.0, 0.0,
+                                                    7e-3, 1e300, 3.3, 1.0]),
+                                tolerance=2e300, attempts=19)
+        state = abc.AbcState(populations=[first, second],
+                             tolerances=[math.inf, 2e300], next_tolerance=1.5,
+                             stopped_by="max_populations", n=8, seed=0,
+                             eps_floor=0.014, model_prior=(0.25,) * 4,
+                             priors=reference_priors)
+        for st, name in ((state, "crafted"), (small_state, "sampled")):
+            bundle = abc.save_state(st, tmp_path / name)
+            for g, pop in enumerate(st.populations, start=1):
+                written = (bundle / f"population_{g:02d}.csv").read_bytes()
+                assert written == per_cell_population_csv(pop).encode("utf-8")
 
 
 class TestBundleValidation:
@@ -338,6 +433,13 @@ class TestBundleValidation:
         with pytest.raises(DataError, match="padding"):
             abc.load_state(bundle)
 
+    @pytest.mark.parametrize("cells", [7, 9])
+    def test_row_with_wrong_cell_count(self, bundle, cells):
+        self.edit_row(bundle, lambda row: row.__setitem__(
+            slice(None), (row + [""])[:cells]))
+        with pytest.raises(DataError, match="cells"):
+            abc.load_state(bundle)
+
     def test_row_count_differs_from_n(self, bundle):
         path = bundle / "population_02.csv"
         path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
@@ -349,3 +451,42 @@ class TestBundleValidation:
         self.edit_row(bundle, lambda cells: cells.__setitem__(-1, eps))
         with pytest.raises(DataError, match="tolerance"):
             abc.load_state(bundle)
+
+    def test_one_population_equals_full_load(self, bundle):
+        state = abc.load_state(bundle)
+        for g in (1, state.n_populations, None):
+            got_g, pop = abc.load_population(bundle, g)
+            ref = state.population(got_g)
+            assert got_g == (state.n_populations if g is None else g)
+            assert np.array_equal(pop.kinds, ref.kinds)
+            assert np.array_equal(pop.phis, ref.phis, equal_nan=True)
+            assert np.array_equal(pop.distances, ref.distances)
+            assert (pop.tolerance, pop.attempts) == (ref.tolerance, ref.attempts)
+
+    def test_one_population_reads_no_other(self, bundle):
+        (bundle / "population_01.csv").unlink()
+        assert len(abc.load_population(bundle, 2)[1]) == 500
+        with pytest.raises(DataError, match="cannot read"):
+            abc.load_population(bundle, 1)
+
+    @pytest.mark.parametrize("g", [0, 99])
+    def test_one_population_index_out_of_range(self, bundle, g):
+        with pytest.raises(DomainError, match="population index"):
+            abc.load_population(bundle, g)
+
+    def test_one_population_checks(self, bundle, small_state):
+        abc.load_population(bundle, 2)
+        (bundle / "abc_state.json").rename(bundle / "moved.json")
+        with pytest.raises(DataError, match="cannot read"):
+            abc.load_population(bundle, 2)
+        (bundle / "moved.json").rename(bundle / "abc_state.json")
+        self.edit_row(bundle, lambda cells: cells.__setitem__(0, "5"))
+        with pytest.raises(DataError, match="model tags"):
+            abc.load_population(bundle, 2)
+        eps = repr(small_state.tolerances[2])
+        self.edit_row(bundle, lambda cells: cells.__setitem__(-1, eps), g=3)
+        with pytest.raises(DataError, match="tolerance"):
+            abc.load_population(bundle, 3)
+        self.edit_row(bundle, lambda cells: cells.__setitem__(6, "1.0"), g=1)
+        with pytest.raises(DataError, match="padding"):
+            abc.load_population(bundle, 1)

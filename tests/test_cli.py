@@ -1,11 +1,15 @@
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from drillstab import abc as abc_mod
 from drillstab import cli, stability
 from drillstab.dataio import read_csv
 from drillstab.errors import StallError
@@ -232,6 +236,44 @@ class TestMap:
         assert run_cli("map", "--out-dir", tmp_path / "out", "--mode",
                        "stochastic", "--abc-state", bundle) == 4
 
+    def test_one_population_read_matches_full_load(self, abc_dir, tmp_path,
+                                                   monkeypatch):
+        def full_load(directory, g=None):
+            state = abc_mod.load_state(directory)
+            g = state.n_populations if g is None else g
+            return g, state.population(g)
+        maps = [["--mode", "stochastic", "--models", "m2,m3"],
+                ["--mode", "stochastic", "--models", "m3", "--population", "2"],
+                ["--mode", "mixture", "--models", "m2,m3"]]
+        outputs = {}
+        for loader in ("one", "full"):
+            if loader == "full":
+                monkeypatch.setattr(abc_mod, "load_population", full_load)
+            for i, extra in enumerate(maps):
+                out = tmp_path / loader / str(i)
+                assert run_cli("map", "--out-dir", out, "--abc-state",
+                               abc_dir / "abc_state", "--min-particles", "30",
+                               "--resolution", "20", *extra) == 0
+                outputs[loader, i] = read_outputs(out)
+        for i in range(len(maps)):
+            assert outputs["one", i] == outputs["full", i]
+            assert any(name.endswith("_grid.csv") for name in outputs["one", i])
+
+    def test_damaged_mapped_population_exits_4(self, abc_dir, tmp_path):
+        bundle = tmp_path / "abc_state"
+        shutil.copytree(abc_dir / "abc_state", bundle)
+        mapped = bundle / "population_03.csv"
+        lines = mapped.read_text().splitlines()
+        lines[1] = "9" + lines[1][1:]
+        mapped.write_text("\n".join(lines) + "\n")
+        args = ["map", "--mode", "stochastic", "--abc-state", bundle,
+                "--models", "m3", "--min-particles", "30", "--resolution", "8"]
+        assert run_cli(*args, "--out-dir", tmp_path / "last") == 4
+        # population 2 is intact and is all that a map of it reads
+        (bundle / "population_01.csv").unlink()
+        assert run_cli(*args, "--out-dir", tmp_path / "p2",
+                       "--population", "2") == 0
+
     def test_missing_abc_state_exits_2(self, tmp_path):
         assert run_cli("map", "--out-dir", tmp_path, "--mode",
                        "stochastic") == 2
@@ -312,3 +354,13 @@ class TestReplayDeterminism:
         manifest.write_text('{"command": "fem-modes", "config"')
         assert run_cli("replay", "--manifest", manifest,
                        "--out-dir", tmp_path / "out") == 4
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, drillstab.cli; print('scipy.stats' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "False"
