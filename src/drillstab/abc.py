@@ -349,6 +349,12 @@ def posterior_stats(state: AbcState, g: int, kind: int,
                           degenerate=degenerate)
 
 
+def check_coverage(coverage: float) -> None:
+    """Reject an envelope coverage outside [0, 1)."""
+    if not 0 <= coverage < 1:
+        raise DomainError(f"coverage must lie in [0, 1), got {coverage}")
+
+
 def predictive_envelope(state: AbcState, g: int, kind: int, speeds,
                         coverage: float = 0.98, r=1.0,
                         min_particles: int = 50
@@ -358,8 +364,7 @@ def predictive_envelope(state: AbcState, g: int, kind: int, speeds,
     The band spans the central ``coverage`` mass; coverage 0 collapses both
     bounds onto the pointwise median.
     """
-    if not 0 <= coverage < 1:
-        raise DomainError(f"coverage must lie in [0, 1), got {coverage}")
+    check_coverage(coverage)
     pop = state.population(g)
     phi = pop.particles_of(kind)
     if len(phi) < min_particles:

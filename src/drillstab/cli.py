@@ -11,10 +11,10 @@ Commands:
 * ``replay``    - re-run any command from its manifest
 
 Every command writes ``manifest.json`` (command, config, seed, versions,
-wall time) into its output directory; re-running via ``replay`` with the
-same config produces byte-identical CSV and SVG outputs, serial or
-parallel. Exit codes: 0 success, 2 config error, 3 numeric failure,
-4 data error.
+wall time) into its output directory; ``replay`` turns the config back into
+command-line options and parses them with the same parser, then produces
+byte-identical CSV and SVG outputs, serial or parallel. Exit codes:
+0 success, 2 config error, 3 numeric failure, 4 data error.
 """
 
 from __future__ import annotations
@@ -35,13 +35,14 @@ from .dataio import read_csv, synthesize, write_csv
 from .dynamics import LumpedDrillString
 from .errors import (ConfigError, DataError, DrillstabError, DomainError,
                      NumericError)
-from .fem import DrillStringGeometry, assemble, modal_properties
+from .fem import assemble, modal_properties
 from .reference import (REFERENCE_GEOMETRY, REFERENCE_INERTIA,
                         REFERENCE_OMEGA_N, REFERENCE_PARAMS, REFERENCE_XI,
                         W_REF_KN)
-from .stability import (RAD_S_TO_RPM, boundary_to_csv, critical_damping,
-                        grid_to_csv, map_deterministic, map_mixture,
-                        map_stochastic)
+from .stability import (DEFAULT_OMEGA_RANGE, DEFAULT_RESOLUTION,
+                        DEFAULT_WOB_FRACTIONS, RAD_S_TO_RPM, boundary_to_csv,
+                        critical_damping, grid_to_csv, map_deterministic,
+                        map_mixture, map_stochastic)
 
 _MODEL_NAMES = {f"m{k}": k for k in MODEL_KINDS}
 
@@ -54,7 +55,10 @@ def _model_kind(name: str) -> int:
 
 
 def _model_list(text: str) -> list[int]:
-    return [_model_kind(tok.strip()) for tok in text.split(",") if tok.strip()]
+    kinds = [_model_kind(tok.strip()) for tok in text.split(",") if tok.strip()]
+    if not kinds:
+        raise ConfigError(f"--models names no model, got {text!r}")
+    return kinds
 
 
 def _floats(text: str, flag: str) -> list[float]:
@@ -65,23 +69,15 @@ def _floats(text: str, flag: str) -> list[float]:
         raise ConfigError(f"{flag} takes comma-separated numbers, got {text!r}") from None
 
 
-def _params_for(kind: int, spec) -> tuple[float, ...]:
-    """Resolve a parameter spec: None/'reference', a --params string or floats."""
+def _params_for(kind: int, spec, flag: str = "--params") -> tuple[float, ...]:
+    """Resolve a parameter spec: None/'reference' or comma-separated numbers."""
     if spec in (None, "reference"):
         return REFERENCE_PARAMS[kind]
-    if isinstance(spec, str):
-        spec = _floats(spec, "--params")
-    vals = tuple(float(v) for v in spec)
+    vals = tuple(_floats(spec, flag))
     if len(vals) != PARAM_COUNTS[kind]:
         raise ConfigError(
             f"model m{kind} takes {PARAM_COUNTS[kind]} parameters, got {len(vals)}")
     return vals
-
-
-def _resolve_threads(threads) -> int:
-    if threads in (None, 0):
-        return os.cpu_count() or 1
-    return max(1, int(threads))
 
 
 def _write_text(path: Path, text: str) -> str:
@@ -94,7 +90,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict,
     manifest = {
         "command": command,
         "config": config,
-        "seed": config.get("seed", 0),
+        "seed": config["seed"],
         "versions": {
             "drillstab": __version__,
             "numpy": np.__version__,
@@ -109,56 +105,47 @@ def _write_manifest(out_dir: Path, command: str, config: dict,
 
 def _out_dir(config) -> Path:
     out = Path(config["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create --out-dir {out}: {exc}") from None
     return out
 
 
 # ---------------------------------------------------------------- gen-data
 
 def run_gen_data(config: dict) -> list[str]:
-    out = _out_dir(config)
     kind = _model_kind(config["model"])
-    params = _params_for(kind, config.get("params"))
-    model = BitRockModel(kind=kind, params=params)
-    w_ref = float(config.get("w_ref", W_REF_KN))
-    r = WobRatio.from_ratio(float(config.get("r", 1.0)), w_ref)
-    n = int(config.get("n", 200))
-    if n < 2:
+    model = BitRockModel(kind=kind, params=_params_for(kind, config["params"]))
+    w_ref = config["w_ref"]
+    if config["n"] < 2:
         raise ConfigError("--n must be at least 2")
-    speeds = np.linspace(float(config.get("speed_min", 0.5)),
-                         float(config.get("speed_max", 15.0)), n)
-    dataset = synthesize(model, r, speeds=speeds,
-                         noise_std=float(config.get("noise", 0.0)),
-                         seed=int(config.get("seed", 0)), w_ref=w_ref)
-    name = config.get("filename", "dataset.csv")
-    write_csv(dataset, out / name)
-    return [name]
+    speeds = np.linspace(config["speed_min"], config["speed_max"], config["n"])
+    dataset = synthesize(model, WobRatio.from_ratio(config["r"], w_ref),
+                         speeds=speeds, noise_std=config["noise"],
+                         seed=config["seed"], w_ref=w_ref)
+    write_csv(dataset, _out_dir(config) / config["filename"])
+    return [config["filename"]]
 
 
 # --------------------------------------------------------------------- fit
 
-def _fit_models(dataset, kinds, config) -> dict[int, "FitResult"]:
-    r = WobRatio.from_ratio(float(config.get("r", 1.0)), dataset.w_ref)
-    initial = config.get("initial")
+def _fit_models(dataset, kinds, r, initial=None, **kwargs
+                ) -> dict[int, "FitResult"]:
     if initial is not None and len(kinds) != 1:
         raise ConfigError("--initial applies to a single --models entry")
-    if isinstance(initial, str) and initial != "reference":
-        initial = _floats(initial, "--initial")
-    results = {}
-    for kind in kinds:
-        results[kind] = fit(dataset, kind, r, _params_for(kind, initial),
-                            max_evals=int(config.get("max_evals", 50_000)),
-                            n_starts=int(config.get("starts", 1)),
-                            jitter=float(config.get("jitter", 0.2)),
-                            seed=int(config.get("seed", 0)))
-    return results
+    return {kind: fit(dataset, kind, r, _params_for(kind, initial, "--initial"),
+                      **kwargs) for kind in kinds}
 
 
 def run_fit(config: dict) -> list[str]:
+    kinds = _model_list(config["models"])
+    dataset = read_csv(config["data"], speed_unit=config["speed_unit"])
     out = _out_dir(config)
-    dataset = read_csv(config["data"], speed_unit=config.get("speed_unit", "rad_s"))
-    kinds = _model_list(config.get("models", "m1,m2,m3,m4"))
-    results = _fit_models(dataset, kinds, config)
+    results = _fit_models(dataset, kinds,
+                          WobRatio.from_ratio(config["r"], dataset.w_ref),
+                          config["initial"], n_starts=config["starts"],
+                          jitter=config["jitter"], seed=config["seed"])
     report = {
         f"m{k}": {
             "params": [repr(v) for v in res.model.params],
@@ -181,31 +168,25 @@ def run_fit(config: dict) -> list[str]:
 # --------------------------------------------------------------------- abc
 
 def run_abc(config: dict) -> list[str]:
+    coverage = config["envelope_coverage"]
+    abc_mod.check_coverage(coverage)
+    sampler = {}
+    if config["model_prior"] is not None:
+        sampler["model_prior"] = _floats(config["model_prior"], "--model-prior")
+    dataset = read_csv(config["data"], speed_unit=config["speed_unit"])
     out = _out_dir(config)
-    dataset = read_csv(config["data"], speed_unit=config.get("speed_unit", "rad_s"))
-    r = WobRatio.from_ratio(float(config.get("r", 1.0)), dataset.w_ref)
-    delta = float(config.get("delta", 0.4))
-    seed = int(config.get("seed", 0))
-
-    centers_mode = config.get("prior_centers", "fit")
-    if centers_mode == "reference":
-        centers = {k: REFERENCE_PARAMS[k] for k in MODEL_KINDS}
-    elif centers_mode == "fit":
-        centers = _fit_models(dataset, list(MODEL_KINDS),
-                              {**config, "starts": int(config.get("starts", 3))})
+    r = WobRatio.from_ratio(config["r"], dataset.w_ref)
+    if config["prior_centers"] == "reference":
+        centers = REFERENCE_PARAMS
     else:
-        raise ConfigError("prior_centers must be 'fit' or 'reference'")
-    priors = abc_mod.build_priors(centers, delta)
-
-    model_prior = config.get("model_prior") or [0.25] * 4
-    if isinstance(model_prior, str):
-        model_prior = _floats(model_prior, "--model-prior")
-    state = abc_mod.run(dataset, priors, model_prior=model_prior,
-                        n=int(config.get("n", 25_000)),
-                        eps_floor=float(config.get("eps_floor", 0.014)),
-                        max_populations=int(config.get("max_populations", 20)),
-                        seed=seed, r=r,
-                        threads=_resolve_threads(config.get("threads")))
+        centers = _fit_models(dataset, MODEL_KINDS, r,
+                              n_starts=config["starts"], seed=config["seed"])
+    state = abc_mod.run(dataset, abc_mod.build_priors(centers, config["delta"]),
+                        n=config["n"], eps_floor=config["eps_floor"],
+                        max_populations=config["max_populations"],
+                        seed=config["seed"], r=r,
+                        threads=config["threads"] or os.cpu_count() or 1,
+                        **sampler)
     abc_mod.save_state(state, out / "abc_state")
     outputs = [f"abc_state/population_{g:02d}.csv"
                for g in range(1, state.n_populations + 1)]
@@ -225,7 +206,6 @@ def run_abc(config: dict) -> list[str]:
                                "\n".join(lines) + "\n"))
 
     final = state.n_populations
-    coverage = float(config.get("envelope_coverage", 0.98))
     rich = [k for k in MODEL_KINDS
             if state.populations[-1].count(k) >= 50]
     speeds = np.linspace(float(dataset.speeds.min()),
@@ -254,7 +234,7 @@ def run_abc(config: dict) -> list[str]:
         outputs.append(_write_text(out / f"envelope_m{k}.csv",
                                    "\n".join(lines) + "\n"))
 
-    if not config.get("no_svg"):
+    if not config["no_svg"]:
         evo_arr = np.array(evo)
         gens = list(range(1, state.n_populations + 1))
         series = [svgplot.Series(x=gens, y=list(evo_arr[:, i]), label=f"m{k}")
@@ -293,69 +273,48 @@ def run_abc(config: dict) -> list[str]:
 
 # --------------------------------------------------------------------- map
 
-def _make_plant(config):
-    if config.get("plant", "1dof") == "1dof":
-        return LumpedDrillString.from_modal(
-            float(config.get("i_eq", REFERENCE_INERTIA)),
-            float(config.get("omega_n", REFERENCE_OMEGA_N)),
-            float(config.get("xi", REFERENCE_XI)))
-    if config["plant"] == "fem":
-        geo = REFERENCE_GEOMETRY
-        over = {k: float(config[k]) for k in
-                ("shear_modulus", "density", "l_dp", "l_bha", "d_dp_outer",
-                 "d_dp_inner", "d_bha_outer", "d_bha_inner") if k in config}
-        if over:
-            geo = DrillStringGeometry(**{**geo.__dict__, **over})
-        return assemble(geo, n_dp=int(config.get("n_dp", 1)),
-                        n_bha=int(config.get("n_bha", 1)),
-                        alpha=float(config.get("alpha", 0.5)),
-                        beta=float(config.get("beta", 0.006)))
-    raise ConfigError("plant must be '1dof' or 'fem'")
+def _fem_plant(config):
+    return assemble(REFERENCE_GEOMETRY, n_dp=config["n_dp"],
+                    n_bha=config["n_bha"], alpha=config["alpha"],
+                    beta=config["beta"])
 
 
 def _grid_kwargs(config, w_ref):
-    wob_range = None
-    if "wob_min" in config or "wob_max" in config:
-        wob_range = (float(config.get("wob_min", 0.2 * w_ref)),
-                     float(config.get("wob_max", 3.0 * w_ref)))
-    res = int(config.get("resolution", 80))
-    return dict(
-        omega_range=(float(config.get("omega_min", 1.0)),
-                     float(config.get("omega_max", 20.0))),
-        wob_range=wob_range,
-        resolution=(res, res),
-    )
+    wob = (config["wob_min"], config["wob_max"])
+    wob_range = None if wob == (None, None) else tuple(
+        f * w_ref if v is None else v for v, f in zip(wob, DEFAULT_WOB_FRACTIONS))
+    return dict(omega_range=(config["omega_min"], config["omega_max"]),
+                wob_range=wob_range,
+                resolution=(config["resolution"], config["resolution"]))
 
 
 def run_map(config: dict) -> list[str]:
-    out = _out_dir(config)
-    w_ref = float(config.get("w_ref", W_REF_KN))
-    plant = _make_plant(config)
-    mode = config.get("mode", "deterministic")
+    w_ref, mode = config["w_ref"], config["mode"]
+    kinds = _model_list(config["models"])
+    plant = (_fem_plant(config) if config["plant"] == "fem" else
+             LumpedDrillString.from_modal(config["i_eq"], config["omega_n"],
+                                          config["xi"]))
     kwargs = dict(_grid_kwargs(config, w_ref), c_star=critical_damping(plant))
+    out = _out_dir(config)
     outputs = []
     curves = []
 
     if mode == "deterministic":
-        kinds = _model_list(config.get("models", "m1,m2,m3,m4"))
         for kind in kinds:
             model = BitRockModel(kind=kind,
-                                 params=_params_for(kind, config.get("params")))
+                                 params=_params_for(kind, config["params"]))
             grid, curve = map_deterministic(model, plant, w_ref, **kwargs)
             outputs.append(grid_to_csv(grid, out / f"map_m{kind}_grid.csv",
                                        w_ref).name)
             outputs.append(boundary_to_csv(
                 curve, out / f"map_m{kind}_boundary.csv", w_ref).name)
             curves.append((f"m{kind} (MAP)", curve, False))
-    elif mode in ("stochastic", "mixture"):
-        if "abc_state" not in config:
+    else:
+        if config["abc_state"] is None:
             raise ConfigError(f"--abc-state is required for mode {mode}")
-        g = config.get("population")
         g, pop = abc_mod.load_population(config["abc_state"],
-                                         None if g is None else int(g))
-        kinds = _model_list(config.get("models", "m2,m3"))
-        pct = float(config.get("percentile", 0.02))
-        min_particles = int(config.get("min_particles", 100))
+                                         config["population"])
+        pct, min_particles = config["percentile"], config["min_particles"]
         sets = []
         for kind in kinds:
             phis = pop.particles_of(kind)
@@ -377,14 +336,14 @@ def run_map(config: dict) -> list[str]:
                     curve, out / f"map_{tag}_boundary.csv", w_ref).name)
                 curves.append((f"m{kind} ({pct:.0%} unstable)", curve, True))
         else:
-            weights = config.get("weights")
+            weights = config["weights"]
             if weights is None:
                 counts = [pop.count(k) for k, _ in sets]
                 total = sum(counts)
                 if total == 0:
                     raise DataError("no particles for the mixture components")
                 weights = [c / total for c in counts]
-            elif isinstance(weights, str):
+            else:
                 weights = _floats(weights, "--weights")
             grid, curve = map_mixture(sets, weights, plant, w_ref,
                                       percentile=pct,
@@ -395,14 +354,10 @@ def run_map(config: dict) -> list[str]:
                 curve, out / "map_mixture_boundary.csv", w_ref).name)
             label = "+".join(f"{w:.0%} m{k}" for (k, _), w in zip(sets, weights))
             curves.append((f"mixture {label}", curve, True))
-    else:
-        raise ConfigError("mode must be deterministic, stochastic or mixture")
 
-    if not config.get("no_svg") and curves:
-        res = int(config.get("resolution", 80))
-        omega_span = (float(config.get("omega_max", 20.0))
-                      - float(config.get("omega_min", 1.0)))
-        gap = 1.5 * omega_span / max(res - 1, 1)
+    if not config["no_svg"] and curves:
+        omega_span = config["omega_max"] - config["omega_min"]
+        gap = 1.5 * omega_span / max(config["resolution"] - 1, 1)
         series = []
         for idx, (label, curve, dashed) in enumerate(curves):
             if len(curve) == 0:
@@ -430,9 +385,8 @@ def run_map(config: dict) -> list[str]:
 # --------------------------------------------------------------- fem-modes
 
 def run_fem_modes(config: dict) -> list[str]:
+    modes = modal_properties(_fem_plant(config))
     out = _out_dir(config)
-    plant = _make_plant({**config, "plant": "fem"})
-    modes = modal_properties(plant)
     lines = ["mode,omega_rad_s,omega_rpm,xi"]
     for i, (w, xi) in enumerate(modes, start=1):
         lines.append(f"{i},{w!r},{w * RAD_S_TO_RPM!r},{xi!r}")
@@ -455,7 +409,21 @@ _COMMANDS = {
 }
 
 
-def run_replay(config: dict) -> list[str]:
+def _recorded(config: dict) -> dict:
+    """The config a manifest records: options left unset or off are dropped."""
+    return {k: v for k, v in config.items() if v is not None and v is not False}
+
+
+def _argv(command: str, config: dict) -> list[str]:
+    """The command line that parses back to ``config``: ``str`` round-trips
+    floats exactly, and the ``--key=value`` form lets a value start with -."""
+    return [command] + [f"--{key.replace('_', '-')}"
+                        + ("" if value is True else f"={value}")
+                        for key, value in _recorded(config).items()]
+
+
+def _replay_argv(config: dict) -> list[str]:
+    """The command line that reproduces the manifest named in ``config``."""
     try:
         manifest = json.loads(Path(config["manifest"]).read_text())
         command, inner = manifest["command"], dict(manifest["config"])
@@ -463,22 +431,47 @@ def run_replay(config: dict) -> list[str]:
         raise DataError(f"cannot read manifest {config['manifest']}: {exc}") from None
     if command not in _COMMANDS:
         raise ConfigError(f"manifest names unknown command {command!r}")
-    if config.get("out_dir"):
+    inner.pop("refine", None)   # retired map option, still in old manifests
+    if config["out_dir"] is not None:
         inner["out_dir"] = config["out_dir"]
-    out = _out_dir(inner)
-    t0 = time.monotonic()
-    outputs = _COMMANDS[command](inner)
-    _write_manifest(out, command, inner, outputs, t0)
-    return outputs
+    return _argv(command, inner)
 
 
 # ------------------------------------------------------------------- parser
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out-dir", required=True, dest="out_dir",
+def _add_command(sub, name: str, summary: str) -> argparse.ArgumentParser:
+    # no abbreviations: a replayed manifest key must name its option exactly
+    p = sub.add_parser(name, help=summary, allow_abbrev=False)
+    p.add_argument("--out-dir", required=True,
                    help="output directory (created if missing)")
     p.add_argument("--seed", type=int, default=0,
                    help="RNG seed (default 0, recorded in the manifest)")
+    return p
+
+
+def _add_data(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--data", required=True)
+    p.add_argument("--speed-unit", choices=("rad_s", "rpm"), default="rad_s")
+
+
+def _add_fem_plant(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n-dp", type=int, default=1)
+    p.add_argument("--n-bha", type=int, default=1)
+    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--beta", type=float, default=0.006)
+
+
+def _threads(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _file_name(text: str) -> str:
+    if text in ("", ".", "..") or os.path.basename(text) != text:
+        raise argparse.ArgumentTypeError(f"must be a bare file name, got {text!r}")
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -488,130 +481,103 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", help="synthesize a torque dataset CSV")
-    _add_common(p)
+    p = _add_command(sub, "gen-data", "synthesize a torque dataset CSV")
     p.add_argument("--model", required=True, help="m1, m2, m3 or m4")
-    p.add_argument("--params", default=None,
+    p.add_argument("--params",
                    help="comma-separated values; default: built-in reference "
                         "calibration estimates")
     p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--w-ref", type=float, default=W_REF_KN, dest="w_ref")
+    p.add_argument("--w-ref", type=float, default=W_REF_KN)
     p.add_argument("--noise", type=float, default=0.0,
                    help="additive Gaussian noise std, kN m")
     p.add_argument("--n", type=int, default=200)
-    p.add_argument("--speed-min", type=float, default=0.5, dest="speed_min")
-    p.add_argument("--speed-max", type=float, default=15.0, dest="speed_max")
-    p.add_argument("--filename", default="dataset.csv")
+    p.add_argument("--speed-min", type=float, default=0.5)
+    p.add_argument("--speed-max", type=float, default=15.0)
+    p.add_argument("--filename", type=_file_name, default="dataset.csv",
+                   help="bare file name inside --out-dir")
 
-    p = sub.add_parser("fit", help="least-squares calibration")
-    _add_common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--speed-unit", choices=("rad_s", "rpm"), default="rad_s",
-                   dest="speed_unit")
+    p = _add_command(sub, "fit", "least-squares calibration")
+    _add_data(p)
     p.add_argument("--models", default="m1,m2,m3,m4")
-    p.add_argument("--initial", default=None,
+    p.add_argument("--initial",
                    help="initial parameters (single model only); default "
                         "reference estimates")
     p.add_argument("--r", type=float, default=1.0)
     p.add_argument("--starts", type=int, default=1)
     p.add_argument("--jitter", type=float, default=0.2)
 
-    p = sub.add_parser("abc", help="ABC rejection run with model selection")
-    _add_common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--speed-unit", choices=("rad_s", "rpm"), default="rad_s",
-                   dest="speed_unit")
+    p = _add_command(sub, "abc", "ABC rejection run with model selection")
+    _add_data(p)
     p.add_argument("--delta", type=float, default=0.4)
     p.add_argument("--n", type=int, default=25_000)
-    p.add_argument("--eps-floor", type=float, default=0.014, dest="eps_floor")
-    p.add_argument("--max-populations", type=int, default=20,
-                   dest="max_populations")
-    p.add_argument("--model-prior", default=None, dest="model_prior",
+    p.add_argument("--eps-floor", type=float, default=abc_mod.DEFAULT_EPS_FLOOR)
+    p.add_argument("--max-populations", type=int, default=20)
+    p.add_argument("--model-prior",
                    help="four comma-separated probabilities (default uniform)")
-    p.add_argument("--prior-centers", choices=("fit", "reference"),
-                   default="fit", dest="prior_centers")
+    p.add_argument("--prior-centers", choices=("fit", "reference"), default="fit")
     p.add_argument("--r", type=float, default=1.0)
     p.add_argument("--starts", type=int, default=3,
                    help="multi-starts for the internal LS fits")
-    p.add_argument("--threads", type=int, default=None,
-                   help="default: available parallelism; 1 forces serial")
-    p.add_argument("--envelope-coverage", type=float, default=0.98,
-                   dest="envelope_coverage")
-    p.add_argument("--no-svg", action="store_true", dest="no_svg")
+    p.add_argument("--threads", type=_threads,
+                   help="default or 0: available parallelism; 1 forces serial")
+    p.add_argument("--envelope-coverage", type=float, default=0.98)
+    p.add_argument("--no-svg", action="store_true")
 
-    p = sub.add_parser("map", help="stability maps and boundary curves")
-    _add_common(p)
+    p = _add_command(sub, "map", "stability maps and boundary curves")
     p.add_argument("--mode", choices=("deterministic", "stochastic", "mixture"),
                    default="deterministic")
     p.add_argument("--plant", choices=("1dof", "fem"), default="1dof")
-    p.add_argument("--models", default=None,
+    p.add_argument("--models",
                    help="comma list (default m1..m4 deterministic, m2,m3 otherwise)")
-    p.add_argument("--params", default=None,
+    p.add_argument("--params",
                    help="deterministic single-model parameter override")
-    p.add_argument("--abc-state", default=None, dest="abc_state",
+    p.add_argument("--abc-state",
                    help="abc_state directory (stochastic/mixture modes)")
-    p.add_argument("--population", type=int, default=None,
+    p.add_argument("--population", type=int,
                    help="population index to draw particles from (default last)")
     p.add_argument("--percentile", type=float, default=0.02)
-    p.add_argument("--weights", default=None,
+    p.add_argument("--weights",
                    help="mixture weights (default: posterior frequencies)")
-    p.add_argument("--min-particles", type=int, default=100,
-                   dest="min_particles")
-    p.add_argument("--w-ref", type=float, default=W_REF_KN, dest="w_ref")
-    p.add_argument("--i-eq", type=float, default=REFERENCE_INERTIA, dest="i_eq")
-    p.add_argument("--omega-n", type=float, default=REFERENCE_OMEGA_N,
-                   dest="omega_n")
+    p.add_argument("--min-particles", type=int, default=100)
+    p.add_argument("--w-ref", type=float, default=W_REF_KN)
+    p.add_argument("--i-eq", type=float, default=REFERENCE_INERTIA)
+    p.add_argument("--omega-n", type=float, default=REFERENCE_OMEGA_N)
     p.add_argument("--xi", type=float, default=REFERENCE_XI)
-    p.add_argument("--n-dp", type=int, default=1, dest="n_dp")
-    p.add_argument("--n-bha", type=int, default=1, dest="n_bha")
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--beta", type=float, default=0.006)
-    p.add_argument("--omega-min", type=float, default=1.0, dest="omega_min")
-    p.add_argument("--omega-max", type=float, default=20.0, dest="omega_max")
-    p.add_argument("--wob-min", type=float, default=None, dest="wob_min")
-    p.add_argument("--wob-max", type=float, default=None, dest="wob_max")
-    p.add_argument("--resolution", type=int, default=80)
-    p.add_argument("--no-svg", action="store_true", dest="no_svg")
+    _add_fem_plant(p)
+    p.add_argument("--omega-min", type=float, default=DEFAULT_OMEGA_RANGE[0])
+    p.add_argument("--omega-max", type=float, default=DEFAULT_OMEGA_RANGE[1])
+    p.add_argument("--wob-min", type=float)
+    p.add_argument("--wob-max", type=float)
+    p.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION[0])
+    p.add_argument("--no-svg", action="store_true")
 
-    p = sub.add_parser("fem-modes", help="modal table of the FE model")
-    _add_common(p)
-    p.add_argument("--n-dp", type=int, default=1, dest="n_dp")
-    p.add_argument("--n-bha", type=int, default=1, dest="n_bha")
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--beta", type=float, default=0.006)
+    p = _add_command(sub, "fem-modes", "modal table of the FE model")
+    _add_fem_plant(p)
 
-    p = sub.add_parser("replay", help="re-run a command from its manifest")
+    p = sub.add_parser("replay", help="re-run a command from its manifest",
+                       allow_abbrev=False)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--out-dir", default=None, dest="out_dir",
-                   help="override the output directory")
+    p.add_argument("--out-dir", help="override the output directory")
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> dict:
-    config = {k: v for k, v in vars(args).items()
-              if k != "command" and v is not None}
-    # argparse stores mixture models default as None; drop booleans at False
-    return {k: v for k, v in config.items() if v is not False}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = _config_from_args(args)
-    command = args.command
+    try:
+        config = vars(build_parser().parse_args(argv))
+    except SystemExit as exc:     # bad options, --help, --version
+        return exc.code
+    command = config.pop("command")
     try:
         if command == "replay":
-            run_replay(config)
-            return 0
-        if command == "map" and "models" not in config:
-            config["models"] = ("m1,m2,m3,m4"
-                                if config.get("mode", "deterministic")
-                                == "deterministic" else "m2,m3")
-        out = _out_dir(config)
+            return main(_replay_argv(config))
+        if command == "map" and config["models"] is None:
+            config["models"] = ("m1,m2,m3,m4" if config["mode"] == "deterministic"
+                                else "m2,m3")
         t0 = time.monotonic()
         outputs = _COMMANDS[command](config)
-        _write_manifest(out, command, config, outputs, t0)
+        _write_manifest(Path(config["out_dir"]), command, _recorded(config),
+                        outputs, t0)
     except (ConfigError, DomainError) as exc:
         # bad flag values reaching the library surface as DomainError
         print(f"error: {exc}", file=sys.stderr)

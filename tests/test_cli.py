@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drillstab import abc as abc_mod
 from drillstab import cli, stability
@@ -62,6 +63,18 @@ class TestGenData:
                        "--params", "a,b,c") == 2
         assert "--params" in capsys.readouterr().err
 
+    def test_out_dir_naming_a_file_exits_2(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run_cli("gen-data", "--out-dir", taken, "--model", "m2") == 2
+        assert "--out-dir" in capsys.readouterr().err
+
+    def test_filename_with_a_directory_exits_2(self, tmp_path, capsys):
+        assert run_cli("gen-data", "--out-dir", tmp_path / "o", "--model", "m2",
+                       "--filename", "../../x/y.csv") == 2
+        assert "--filename" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_explicit_params(self, tmp_path):
         code = run_cli("gen-data", "--out-dir", tmp_path, "--model", "m2",
                        "--params", "12,6,0.25", "--n", "10")
@@ -95,6 +108,11 @@ class TestFit:
                        dataset_dir / "dataset.csv", "--models", "m2",
                        "--initial", "13,x,0.3") == 2
         assert "--initial" in capsys.readouterr().err
+
+    def test_empty_model_list_exits_2(self, dataset_dir, tmp_path):
+        assert run_cli("fit", "--out-dir", tmp_path, "--data",
+                       dataset_dir / "dataset.csv", "--models", ",") == 2
+        assert not (tmp_path / "fit_report.json").exists()
 
     def test_too_few_calibration_rows_exits_4(self, tmp_path):
         data = tmp_path / "thin.csv"
@@ -172,6 +190,23 @@ class TestAbc:
                        dataset_dir / "dataset.csv", "--prior-centers",
                        "reference", "--model-prior", "x,1,1,1") == 2
         assert "--model-prior" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["-4", "two"])
+    def test_bad_threads_exit_2(self, dataset_dir, tmp_path, threads):
+        assert run_cli("abc", "--out-dir", tmp_path, "--data",
+                       dataset_dir / "dataset.csv", "--threads", threads) == 2
+
+    def test_coverage_rejected_before_sampling(self, dataset_dir, tmp_path,
+                                               monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("sampler ran")
+        monkeypatch.setattr(cli.abc_mod, "run", never)
+        out = tmp_path / "o"
+        assert run_cli("abc", "--out-dir", out, "--data",
+                       dataset_dir / "dataset.csv", "--prior-centers",
+                       "reference", "--envelope-coverage", "1.5") == 2
+        assert "coverage" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_stall_maps_to_exit_3(self, dataset_dir, tmp_path, monkeypatch):
         def fake_run(*args, **kwargs):
@@ -274,6 +309,15 @@ class TestMap:
         assert run_cli(*args, "--out-dir", tmp_path / "p2",
                        "--population", "2") == 0
 
+    def test_empty_model_list_exits_2(self, abc_dir, tmp_path):
+        assert run_cli("map", "--out-dir", tmp_path / "det", "--models",
+                       ",", "--resolution", "8") == 2
+        assert run_cli("map", "--out-dir", tmp_path / "sto", "--mode",
+                       "stochastic", "--abc-state", abc_dir / "abc_state",
+                       "--models", " , ", "--resolution", "8") == 2
+        assert not (tmp_path / "det" / "manifest.json").exists()
+        assert not (tmp_path / "sto" / "manifest.json").exists()
+
     def test_missing_abc_state_exits_2(self, tmp_path):
         assert run_cli("map", "--out-dir", tmp_path, "--mode",
                        "stochastic") == 2
@@ -345,6 +389,61 @@ class TestReplayDeterminism:
         for name in a:
             assert a[name] == b[name]
 
+    def test_parent_era_manifest_with_refine_replays(self, tmp_path):
+        # a map manifest as written while the map still took --refine
+        config = {"alpha": 0.5, "beta": 0.006, "i_eq": 383.33,
+                  "min_particles": 100, "mode": "deterministic",
+                  "models": "m2", "n_bha": 1, "n_dp": 1, "omega_max": 20.0,
+                  "omega_min": 1.0, "omega_n": 0.85, "percentile": 0.02,
+                  "plant": "1dof", "refine": 10, "resolution": 12, "seed": 0,
+                  "w_ref": 244.2, "xi": 0.25}
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"command": "map", "config": config}))
+        assert run_cli("replay", "--manifest", manifest,
+                       "--out-dir", tmp_path / "replayed") == 0
+        assert run_cli("map", "--models", "m2", "--resolution", "12",
+                       "--out-dir", tmp_path / "direct") == 0
+        a = read_outputs(tmp_path / "direct")
+        assert a and a == read_outputs(tmp_path / "replayed")
+        replayed = json.loads((tmp_path / "replayed/manifest.json").read_text())
+        direct = json.loads((tmp_path / "direct/manifest.json").read_text())
+        del replayed["config"]["out_dir"], direct["config"]["out_dir"]
+        assert replayed["config"] == direct["config"]
+
+    @pytest.mark.parametrize("command, config", [
+        ("gen-data", {"model": "m2", "n": "abc"}),
+        ("gen-data", {"model": "m2", "shear_modulus": 1e9}),
+        ("fit", {"data": "d.csv", "starts": 1.5}),
+        ("fit", {"data": "d.csv", "max_evals": 10}),
+        ("fit", {"data": "d.csv", "model": "m2"}),
+        ("abc", {"data": "d.csv", "speed_unit": "kph"}),
+        ("abc", {"data": "d.csv", "threads": -4}),
+        ("map", {"models": 3}),
+        ("map", {"mode": "deterministic", "resolution": "fine"}),
+        ("map", {"no_svg": "false"}),
+        ("fem-modes", {"shear_modulus": 1e9}),
+        ("fem-modes", {"n_dp": 2.5}),
+    ])
+    def test_bad_manifest_value_or_key_exits_2(self, tmp_path, command, config):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"command": command, "config": config}))
+        assert run_cli("replay", "--manifest", manifest,
+                       "--out-dir", tmp_path / "out") == 2
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_manifest_without_out_dir_exits_2(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"command": "fem-modes", "config": {}}))
+        assert run_cli("replay", "--manifest", manifest) == 2
+        assert "--out-dir" in capsys.readouterr().err
+
+    def test_replayed_replay_manifest_exits_2(self, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(
+            {"command": "replay", "config": {"manifest": str(manifest)}}))
+        assert run_cli("replay", "--manifest", manifest,
+                       "--out-dir", tmp_path / "out") == 2
+
     def test_missing_manifest_exits_4(self, tmp_path):
         assert run_cli("replay", "--manifest", tmp_path / "manifest.json",
                        "--out-dir", tmp_path / "out") == 4
@@ -364,3 +463,63 @@ def test_cli_import_leaves_out_scipy_stats():
     res = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     assert res.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [[], ["nope"], ["map", "--resolution", "x"],
+                                  ["fem-modes", "--out-dir"]])
+def test_bad_argv_returns_2(argv):
+    assert cli.main(argv) == 2
+
+
+_SUBPARSERS = {name: p for name, p in
+               cli.build_parser()._subparsers._group_actions[0].choices.items()
+               if name != "replay"}
+_NUMBERS = st.floats(-1e6, 1e6, allow_nan=False)
+_TEXT = st.one_of(
+    st.lists(_NUMBERS, min_size=1, max_size=4).map(
+        lambda xs: ",".join(map(str, xs))),
+    st.text("abcm0123456789-_.,/= ", max_size=12))
+
+
+def _option_values(action):
+    """A strategy for the values of one option, None meaning absent."""
+    if action.choices is not None:
+        values = st.sampled_from(list(action.choices))
+    elif action.nargs == 0:
+        values = st.booleans()
+    elif action.type is int:
+        values = st.integers(-10**6, 10**6)
+    elif action.type is cli._threads:
+        values = st.integers(0, 64)
+    elif action.type is float:
+        values = _NUMBERS
+    elif action.type is cli._file_name:
+        values = st.text("abcxyz_-.0123456789", min_size=1, max_size=12).filter(
+            lambda name: name not in (".", ".."))
+    else:
+        assert action.type is None, action
+        values = _TEXT
+    return values if action.required else st.none() | values
+
+
+@settings(max_examples=60, deadline=None)
+@pytest.mark.parametrize("command", sorted(_SUBPARSERS))
+@given(data=st.data())
+def test_manifest_config_replays_to_the_same_config(command, data):
+    actions = [a for a in _SUBPARSERS[command]._actions if a.dest != "help"]
+    drawn = {a.dest: data.draw(_option_values(a), label=a.dest) for a in actions}
+    argv = [command]      # typed as a user would: "--flag value" where it parses
+    for dest, value in drawn.items():
+        flag = "--" + dest.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif value is not None and value is not False:
+            text = str(value)
+            argv += [flag, text] if text[:1] not in ("-", "") else [f"{flag}={text}"]
+    config = cli._recorded(vars(cli.build_parser().parse_args(argv)))
+    assert config.pop("command") == command
+    assert config == cli._recorded({a.dest: a.default if drawn[a.dest] is None
+                                    else drawn[a.dest] for a in actions})
+    replayed = vars(cli.build_parser().parse_args(cli._argv(command, config)))
+    assert replayed.pop("command") == command
+    assert cli._recorded(replayed) == config
