@@ -12,9 +12,15 @@ Posterior model probabilities are the per-population acceptance
 frequencies of each model tag. Marginals, Pearson correlations, and
 pointwise predictive envelopes summarize the per-model particle sets.
 
-Reproducibility: proposals are generated in fixed-size chunks whose RNG
-streams are keyed by (seed, population index, chunk index), so serial and
-thread-parallel runs produce bit-identical populations.
+All populations come from one proposal stream, generated in fixed-size
+chunks whose RNG streams are keyed by (seed, chunk index). Population g is
+the first n proposals of that stream whose distance lies below eps_g; since
+tolerances only fall, the proposals kept for population g are filtered for
+population g+1 before the stream continues, and a rejected proposal is never
+drawn again. A population is a function of the stream alone, so serial and
+thread-parallel runs produce bit-identical populations. A population's
+``attempts`` is the stream position of its n-th acceptance plus one: the
+proposals drawn up to it, counted from the start of the stream.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ MAX_PARAMS = max(PARAM_COUNTS.values())
 
 DEFAULT_EPS_FLOOR = 0.014
 _CHUNK = 8192
+_ENVELOPE_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -167,30 +174,33 @@ def _normalize_model_prior(model_prior) -> tuple[np.ndarray, np.ndarray]:
     return p, np.cumsum(p)
 
 
-def _propose_chunk(seed: int, pop_index: int, chunk_index: int, chunk: int,
+def _propose_chunk(seed: int, chunk_index: int, chunk: int, eps: float,
                    cum_prior: np.ndarray, priors: dict[int, PriorSpec],
                    speeds: np.ndarray, y: np.ndarray, ynorm: float, r
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distances for one deterministic chunk of proposals.
-
-    Returns (kinds, phis padded with NaN, distances) in attempt order.
-    """
-    rng = np.random.default_rng((seed, pop_index, chunk_index))
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The proposals of one deterministic chunk of the stream that fall
+    below ``eps``: (stream positions, kinds, phis padded with NaN,
+    distances), in stream order."""
+    rng = np.random.default_rng((seed, chunk_index))
     u = rng.random((chunk, 1 + MAX_PARAMS))
     kinds = np.searchsorted(cum_prior, u[:, 0], side="right") + 1
     kinds = np.minimum(kinds, len(MODEL_KINDS))     # guard u == 1.0 edge
-    phis = np.full((chunk, MAX_PARAMS), np.nan)
     dists = np.full(chunk, np.inf)
     for kind, prior in priors.items():
-        mask = kinds == kind
-        if not mask.any():
-            continue
-        p = PARAM_COUNTS[kind]
-        phi = prior.sample_from_unit(u[mask, 1:1 + p])
-        resid = y[None, :] - torque_batch(kind, phi, r, speeds)
-        dists[mask] = np.einsum("ij,ij->i", resid, resid) / ynorm
-        phis[mask, :p] = phi
-    return kinds, phis, dists
+        rows = np.flatnonzero(kinds == kind)
+        if len(rows):
+            phi = prior.sample_from_unit(u[rows, 1:1 + PARAM_COUNTS[kind]])
+            resid = y[None, :] - torque_batch(kind, phi, r, speeds)
+            dists[rows] = np.einsum("ij,ij->i", resid, resid) / ynorm
+    keep = np.flatnonzero(dists < eps)
+    kept_kinds = kinds[keep]
+    phis = np.full((len(keep), MAX_PARAMS), np.nan)
+    for kind, prior in priors.items():
+        mask = kept_kinds == kind
+        if mask.any():
+            p = PARAM_COUNTS[kind]
+            phis[mask, :p] = prior.sample_from_unit(u[keep[mask], 1:1 + p])
+    return chunk_index * chunk + keep, kept_kinds, phis, dists[keep]
 
 
 def run(dataset: TorqueDataset, priors: dict[int, PriorSpec],
@@ -200,9 +210,10 @@ def run(dataset: TorqueDataset, priors: dict[int, PriorSpec],
         stall_window: int = 500_000) -> AbcState:
     """Run the rejection sampler until the tolerance floor is reached.
 
-    Acceptance is strict (rho < eps). A population whose trailing
-    ``stall_window`` attempts accept fewer than 1e-5 of proposals raises
-    StallError carrying the stuck tolerance.
+    Acceptance is strict (rho < eps). Population g is the first n
+    proposals of one stream whose distance lies below eps_g. A population
+    whose trailing ``stall_window`` new proposals accept fewer than 1e-5 of
+    them raises StallError carrying the stuck tolerance.
     """
     if n < 1:
         raise DomainError("population size must be >= 1")
@@ -222,68 +233,65 @@ def run(dataset: TorqueDataset, priors: dict[int, PriorSpec],
     prior_vec, cum_prior = _normalize_model_prior(model_prior)
     threads = max(1, int(threads))
 
-    def generate(pop_index: int, eps: float) -> Population:
-        kinds = np.empty(n, dtype=int)
-        phis = np.empty((n, MAX_PARAMS))
-        dists = np.empty(n)
-        have = 0
-        attempts = 0
+    # the pool holds, in stream order, every proposal drawn so far that lies
+    # below the current tolerance; a wave starts below n rows and adds at
+    # most threads chunks
+    cap = n + threads * _CHUNK
+    pool = positions, kinds, phis, dists = (
+        np.empty(cap, dtype=np.int64), np.empty(cap, dtype=int),
+        np.empty((cap, MAX_PARAMS)), np.empty(cap))
+    have = 0
+    next_chunk = 0
+
+    def generate(executor, eps: float) -> Population:
+        nonlocal have, next_chunk
+        keep = np.flatnonzero(dists[:have] < eps)
+        have = len(keep)
+        for buf in pool:
+            buf[:have] = buf[keep]
         window_attempts = 0
         window_accepts = 0
-        chunk_index = 0
-
-        def consume(result):
-            nonlocal have, attempts, window_attempts, window_accepts
-            ck, cp, cd = result
-            if have >= n:
-                return
-            idx = np.flatnonzero(cd < eps)
-            if len(idx) > n - have:
-                idx = idx[:n - have]
-                # attempts counted up to and including the Nth acceptance
-                attempts += int(idx[-1]) + 1
-            else:
-                attempts += len(ck)
-            for buf, chunk in ((kinds, ck), (phis, cp), (dists, cd)):
-                buf[have:have + len(idx)] = chunk[idx]
-            have += len(idx)
-            window_attempts += len(ck)
-            window_accepts += len(idx)
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            while have < n:
-                wave = [pool.submit(_propose_chunk, seed, pop_index, c, _CHUNK,
+        while have < n:
+            wave = [executor.submit(_propose_chunk, seed, c, _CHUNK, eps,
                                     cum_prior, priors, speeds, y, ynorm, r)
-                        for c in range(chunk_index, chunk_index + threads)]
-                chunk_index += threads
-                for fut in wave:        # merge in chunk order: deterministic
-                    consume(fut.result())
-                if window_attempts >= stall_window:
-                    if window_accepts < 1e-5 * window_attempts:
-                        raise StallError(
-                            f"acceptance rate below 1e-5 at eps={eps:.6g} "
-                            f"({window_accepts}/{window_attempts} in window)",
-                            epsilon=eps, attempts=attempts)
-                    window_attempts = 0
-                    window_accepts = 0
-        return Population(kinds=kinds, phis=phis, distances=dists,
-                          tolerance=eps, attempts=attempts)
+                    for c in range(next_chunk, next_chunk + threads)]
+            next_chunk += threads
+            for fut in wave:            # merge in chunk order: deterministic
+                rows = fut.result()
+                m = len(rows[0])
+                for buf, col in zip(pool, rows):
+                    buf[have:have + m] = col
+                have += m
+                window_accepts += m
+            window_attempts += threads * _CHUNK
+            if window_attempts >= stall_window:
+                if window_accepts < 1e-5 * window_attempts:
+                    raise StallError(
+                        f"acceptance rate below 1e-5 at eps={eps:.6g} "
+                        f"({window_accepts}/{window_attempts} in window)",
+                        epsilon=eps, attempts=next_chunk * _CHUNK)
+                window_attempts = 0
+                window_accepts = 0
+        return Population(kinds=kinds[:n].copy(), phis=phis[:n].copy(),
+                          distances=dists[:n].copy(), tolerance=eps,
+                          attempts=int(positions[n - 1]) + 1)
 
     populations: list[Population] = []
     tolerances: list[float] = []
     eps = math.inf
-    while True:
-        tolerances.append(eps)
-        pop = generate(len(populations), eps)
-        populations.append(pop)
-        nxt = float(np.median(pop.distances))
-        if eps <= eps_floor:
-            stopped = "eps_floor"
-            break
-        if len(populations) >= max_populations:
-            stopped = "max_populations"
-            break
-        eps = nxt
+    with ThreadPoolExecutor(max_workers=threads) as executor:
+        while True:
+            tolerances.append(eps)
+            pop = generate(executor, eps)
+            populations.append(pop)
+            nxt = float(np.median(pop.distances))
+            if eps <= eps_floor:
+                stopped = "eps_floor"
+                break
+            if len(populations) >= max_populations:
+                stopped = "max_populations"
+                break
+            eps = nxt
     return AbcState(populations=populations, tolerances=tolerances,
                     next_tolerance=nxt, stopped_by=stopped, n=n, seed=seed,
                     eps_floor=eps_floor,
@@ -372,9 +380,13 @@ def predictive_envelope(state: AbcState, g: int, kind: int, speeds,
             f"model {kind} has {len(phi)} particles in population {g}; "
             f"need >= {min_particles} for an envelope")
     speeds = np.asarray(speeds, dtype=float)
-    curves = torque_batch(kind, phi, r, speeds)
     q_lo = (1.0 - coverage) / 2.0
-    return tuple(np.quantile(curves, [q_lo, 1.0 - q_lo], axis=0))
+    # a block of speeds at a time: each column's quantiles depend on that
+    # column alone, and the (particles, speeds) torque table stays small
+    blocks = [np.quantile(torque_batch(kind, phi, r, speeds[i:i + _ENVELOPE_BLOCK]),
+                          [q_lo, 1.0 - q_lo], axis=0)
+              for i in range(0, max(len(speeds), 1), _ENVELOPE_BLOCK)]
+    return tuple(np.concatenate(blocks, axis=1))
 
 
 def save_state(state: AbcState, directory) -> Path:

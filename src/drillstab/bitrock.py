@@ -113,6 +113,14 @@ class WobRatio:
         return cls(w=r * w_ref, w_ref=w_ref)
 
 
+def signs_hold(kind: int, p) -> bool:
+    """Whether the float sequence p meets the sign constraints of law kind."""
+    positive, descending = SIGN_CONSTRAINTS[kind]
+    chain = [p[i] for i in descending] + [0.0]
+    return (all(p[i] > 0 for i in positive)
+            and all(a >= b for a, b in zip(chain, chain[1:])))
+
+
 def validate_params(kind: int, params) -> tuple[float, ...]:
     """Check a parameter vector against the sign constraints of its law.
 
@@ -128,24 +136,14 @@ def validate_params(kind: int, params) -> tuple[float, ...]:
         )
     if not all(math.isfinite(v) for v in p):
         raise DomainError(f"model {kind} parameters must be finite, got {p}")
-    names, (positive, descending) = PARAM_NAMES[kind], SIGN_CONSTRAINTS[kind]
-    chain = [p[i] for i in descending]
-    if chain and (chain != sorted(chain, reverse=True) or chain[-1] < 0):
-        raise DomainError(f"model {kind} requires "
-                          + " >= ".join(names[i] for i in descending) + " >= 0")
-    for i in positive:
-        if p[i] <= 0:
-            raise DomainError(f"model {kind} requires "
-                              + " and ".join(f"{names[j]} > 0" for j in positive))
+    if not signs_hold(kind, p):
+        names, (positive, descending) = PARAM_NAMES[kind], SIGN_CONSTRAINTS[kind]
+        rules = [f"{names[i]} > 0" for i in positive]
+        if descending:
+            rules.append(" >= ".join(names[i] for i in descending) + " >= 0")
+        raise DomainError(f"model {kind} requires " + " and ".join(rules)
+                          + f", got {p}")
     return p
-
-
-def params_valid(kind: int, params) -> bool:
-    try:
-        validate_params(kind, params)
-    except DomainError:
-        return False
-    return True
 
 
 @dataclass(frozen=True)

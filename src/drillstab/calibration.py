@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .bitrock import (BitRockModel, PARAM_COUNTS, SIGN_CONSTRAINTS, params_valid,
-                      torque_eval, validate_params)
+from .bitrock import (BitRockModel, PARAM_COUNTS, SIGN_CONSTRAINTS, TORQUE_LAWS,
+                      as_ratio, signs_hold, torque_eval, validate_params)
 from .dataio import TorqueDataset
 from .errors import DataError, DomainError
 
@@ -90,21 +90,26 @@ def fit(dataset: TorqueDataset, kind: int, r, initial, bounds=None,
     if len(bounds) != PARAM_COUNTS[kind]:
         raise DomainError(f"bounds must have {PARAM_COUNTS[kind]} entries")
     x0 = _clip_to_bounds(x0, bounds)
-    if not params_valid(kind, x0):
+    if not signs_hold(kind, x0.tolist()):
         raise DomainError("initial point violates the model invariants")
+    # bound once; a TorqueDataset holds only finite speeds >= 0, so the
+    # objective runs the law without torque_eval's speed checks
     speeds = dataset.calibration_speeds
+    law, rv, ynorm = TORQUE_LAWS[kind], as_ratio(r), float(np.dot(y, y))
 
     def objective(x):
-        if not params_valid(kind, x):
+        p = x.tolist()
+        if not signs_hold(kind, p):
             return np.inf
-        return metric_arrays(kind, x, r, speeds, y)
+        resid = y - law(rv, p, speeds, np)
+        return float(np.dot(resid, resid) / ynorm)
 
     rng = np.random.default_rng(seed)
     starts = [x0]
     for _ in range(n_starts - 1):
         cand = x0 * rng.uniform(1.0 - jitter, 1.0 + jitter, size=x0.shape)
         cand = _clip_to_bounds(cand, bounds)
-        starts.append(cand if params_valid(kind, cand) else x0)
+        starts.append(cand if signs_hold(kind, cand.tolist()) else x0)
 
     best_x, best_f, total_nfev, converged = x0, objective(x0), 0, True
     sp_bounds = scipy.optimize.Bounds(

@@ -288,8 +288,19 @@ def _grid_kwargs(config, w_ref):
                 resolution=(config["resolution"], config["resolution"]))
 
 
+# map options that only some modes read; any other mode rejects them
+_MAP_MODE_OPTIONS = {"params": ("deterministic",),
+                     "abc_state": ("stochastic", "mixture"),
+                     "population": ("stochastic", "mixture"),
+                     "weights": ("mixture",)}
+
+
 def run_map(config: dict) -> list[str]:
     w_ref, mode = config["w_ref"], config["mode"]
+    ignored = [f"--{key.replace('_', '-')}" for key, modes in _MAP_MODE_OPTIONS.items()
+               if config[key] is not None and mode not in modes]
+    if ignored:
+        raise ConfigError(f"--mode {mode} does not use {', '.join(ignored)}")
     kinds = _model_list(config["models"])
     plant = (_fem_plant(config) if config["plant"] == "fem" else
              LumpedDrillString.from_modal(config["i_eq"], config["omega_n"],
@@ -563,8 +574,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    parser = build_parser()
     try:
-        config = vars(build_parser().parse_args(argv))
+        config = vars(parser.parse_args(argv))
+        # argparse reads "--key=--" as an empty list and skips the type
+        empty = [key for key, value in config.items() if value == []]
+        if empty:
+            parser.error(f"--{empty[0].replace('_', '-')}: expected a value, got '--'")
     except SystemExit as exc:     # bad options, --help, --version
         return exc.code
     command = config.pop("command")

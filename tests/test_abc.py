@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from drillstab import abc
 from drillstab.bitrock import MODEL_KINDS, PARAM_COUNTS, torque_batch
@@ -35,29 +36,26 @@ def accept_all(m3_dataset, reference_priors):
                    max_populations=1, seed=5)
 
 
-def concatenating_population(dataset, priors, seed, pop_index, eps, n):
-    """One population built chunk by chunk with np.concatenate; attempts
-    run up to and including the Nth acceptance when a chunk overshoots."""
+def proposal_stream(dataset, priors, seed, chunks):
+    """The first chunks of the proposal stream, each drawn with eps = inf
+    and concatenated: (positions, kinds, phis, distances)."""
     _, cum_prior = abc._normalize_model_prior((0.25, 0.25, 0.25, 0.25))
     y = dataset.calibration_torques
-    kinds, phis = np.empty(0, dtype=int), np.empty((0, abc.MAX_PARAMS))
-    dists, attempts, chunk = np.empty(0), 0, 0
-    while len(kinds) < n:
-        ck, cp, cd = abc._propose_chunk(seed, pop_index, chunk, abc._CHUNK,
-                                        cum_prior, priors,
-                                        dataset.calibration_speeds, y,
-                                        float(np.dot(y, y)), 1.0)
-        chunk += 1
-        idx = np.flatnonzero(cd < eps)
-        if len(idx) > n - len(kinds):
-            idx = idx[:n - len(kinds)]
-            attempts += int(idx[-1]) + 1
-        else:
-            attempts += len(ck)
-        kinds = np.concatenate([kinds, ck[idx]])
-        phis = np.concatenate([phis, cp[idx]])
-        dists = np.concatenate([dists, cd[idx]])
-    return kinds, phis, dists, attempts
+    parts = [abc._propose_chunk(seed, c, abc._CHUNK, math.inf, cum_prior,
+                                priors, dataset.calibration_speeds, y,
+                                float(np.dot(y, y)), 1.0)
+             for c in range(chunks)]
+    return tuple(np.concatenate(cols) for cols in zip(*parts))
+
+
+def stream_population(stream, eps, n):
+    """The first n stream proposals below eps, and the stream position of
+    the n-th plus one."""
+    positions, kinds, phis, dists = stream
+    idx = np.flatnonzero(dists < eps)
+    assert len(idx) >= n, "stream too short for this tolerance"
+    idx = idx[:n]
+    return kinds[idx], phis[idx], dists[idx], int(positions[idx[-1]]) + 1
 
 
 def per_cell_population_csv(pop):
@@ -184,22 +182,59 @@ class TestRun:
         assert err.value.epsilon > 0
         assert err.value.attempts > 0
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_buffers_match_concatenating_reference(self, m3_dataset,
-                                                    reference_priors, threads):
-        n = 3000     # population 1 ends mid-chunk; later ones span chunks
-        state = abc.run(m3_dataset, reference_priors, n=n, max_populations=4,
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_populations_match_stream_oracle(self, m3_dataset,
+                                             reference_priors, threads):
+        n = 3000
+        state = abc.run(m3_dataset, reference_priors, n=n, max_populations=5,
                         seed=6, threads=threads)
-        assert state.n_populations == 4
+        assert state.n_populations == 5
+        stream = proposal_stream(m3_dataset, reference_priors, 6, chunks=8)
+        assert np.array_equal(stream[0], np.arange(8 * abc._CHUNK))
+        mid_chunk = carried = False
         for g, pop in enumerate(state.populations, start=1):
-            kinds, phis, dists, attempts = concatenating_population(
-                m3_dataset, reference_priors, 6, g - 1, pop.tolerance, n)
-            assert attempts % abc._CHUNK != 0
+            kinds, phis, dists, attempts = stream_population(
+                stream, pop.tolerance, n)
             assert np.array_equal(pop.kinds, kinds)
             assert np.array_equal(pop.phis, phis, equal_nan=True)
             assert np.array_equal(pop.distances, dists)
             assert pop.attempts == attempts
-        assert max(p.attempts for p in state.populations) > abc._CHUNK
+            mid_chunk |= attempts % abc._CHUNK != 0
+            if g > 1:
+                # rows drawn in the chunk of population g-1's n-th
+                # acceptance but after it, carried over by the pool
+                prev = state.populations[g - 2].attempts
+                end = -(-prev // abc._CHUNK) * abc._CHUNK
+                below = np.flatnonzero(stream[3] < pop.tolerance)[:n]
+                carried |= bool(((below >= prev) & (below < end)).any())
+        assert mid_chunk and carried
+        assert state.populations[-1].attempts > 2 * abc._CHUNK
+
+    def test_single_stream_matches_fresh_draws(self, m3_dataset,
+                                               reference_priors):
+        """The fourth population reuses draws filtered at three tolerances
+        that are medians of the same stream; at that tolerance, fresh iid
+        draws must give the same model frequencies and parameter marginals
+        within binomial and KS error."""
+        n = 2000
+        for seed in range(4):
+            state = abc.run(m3_dataset, reference_priors, n=n,
+                            max_populations=4, seed=seed)
+            pop = state.populations[-1]
+            kinds, phis, _, _ = stream_population(
+                proposal_stream(m3_dataset, reference_priors, 100 + seed, 4),
+                pop.tolerance, n)
+            for kind in MODEL_KINDS:
+                p = (pop.count(kind) + (kinds == kind).sum()) / (2 * n)
+                sigma = math.sqrt(2 * p * (1 - p) / n)
+                assert abs(pop.count(kind) - (kinds == kind).sum()) / n \
+                    < 4 * sigma
+                fresh = phis[kinds == kind, :PARAM_COUNTS[kind]]
+                reused = pop.particles_of(kind)
+                if min(len(fresh), len(reused)) < 20:
+                    continue
+                for j in range(PARAM_COUNTS[kind]):
+                    assert ks_2samp(reused[:, j], fresh[:, j]).pvalue > 1e-3
 
     def test_missing_priors_rejected(self, m3_dataset, reference_priors):
         partial = {k: v for k, v in reference_priors.items() if k != 3}

@@ -318,6 +318,24 @@ class TestMap:
         assert not (tmp_path / "det" / "manifest.json").exists()
         assert not (tmp_path / "sto" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("mode, extra", [
+        ("stochastic", ["--params", "13,6.5,0.4"]),
+        ("mixture", ["--params", "13,6.5,0.4"]),
+        ("deterministic", ["--weights", "0.5,0.5"]),
+        ("stochastic", ["--weights", "0.5,0.5"]),
+        ("deterministic", ["--abc-state", "bundle"]),
+        ("deterministic", ["--population", "1"]),
+    ])
+    def test_option_the_mode_ignores_exits_2(self, abc_dir, tmp_path, capsys,
+                                              mode, extra):
+        bundle = [] if mode == "deterministic" else [
+            "--abc-state", abc_dir / "abc_state", "--min-particles", "30"]
+        assert run_cli("map", "--out-dir", tmp_path / "out", "--mode", mode,
+                       "--models", "m2", "--resolution", "8",
+                       *bundle, *extra) == 2
+        assert extra[0] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_abc_state_exits_2(self, tmp_path):
         assert run_cli("map", "--out-dir", tmp_path, "--mode",
                        "stochastic") == 2
@@ -471,6 +489,21 @@ def test_bad_argv_returns_2(argv):
     assert cli.main(argv) == 2
 
 
+# argparse turns "--key=--" into an empty list without calling the type
+@pytest.mark.parametrize("argv", [
+    ["gen-data", "--model", "m2", "--params=--"],   # comma-separated list
+    ["fit", "--data", "d.csv", "--initial=--"],     # comma-separated list
+    ["abc", "--data", "d.csv", "--n=--"],           # int
+    ["abc", "--data", "d.csv", "--delta=--"],       # float
+    ["abc", "--data=--"],                           # path
+    ["map", "--resolution=--"],                     # int
+])
+def test_double_dash_value_exits_2(argv, tmp_path, capsys):
+    assert cli.main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+    assert "got '--'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 _SUBPARSERS = {name: p for name, p in
                cli.build_parser()._subparsers._group_actions[0].choices.items()
                if name != "replay"}
@@ -516,6 +549,9 @@ def test_manifest_config_replays_to_the_same_config(command, data):
         elif value is not None and value is not False:
             text = str(value)
             argv += [flag, text] if text[:1] not in ("-", "") else [f"{flag}={text}"]
+    if "--" in map(str, drawn.values()):
+        assert cli.main(argv) == 2      # rejected before any command runs
+        return
     config = cli._recorded(vars(cli.build_parser().parse_args(argv)))
     assert config.pop("command") == command
     assert config == cli._recorded({a.dest: a.default if drawn[a.dest] is None
