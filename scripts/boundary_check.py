@@ -29,7 +29,7 @@ def main() -> None:
         return math.inf if slope >= 0 else W_REF_KN * plant.c_eq / (1000 * -slope)
 
     for kind, oracle in ((2, m2_wstar), (4, m4_wstar)):
-        _, curve = map_deterministic(reference_model(kind), plant, W_REF_KN)
+        grid, curve = map_deterministic(reference_model(kind), plant, W_REF_KN)
         errs = [abs(w - oracle(om)) / oracle(om) for om, w in curve.points]
         print(f"m{kind}: {len(curve)} boundary points, worst |dW|/W = "
               f"{max(errs):.2e}")
@@ -43,7 +43,7 @@ def main() -> None:
         "2dof (beta=0.006)": assemble(REFERENCE_GEOMETRY, 1, 1, 0.5, 0.006),
         "10dof (beta=0.0021)": assemble(REFERENCE_GEOMETRY, 8, 2, 0.5, 0.0021),
     }
-    cell = (19.0 / 79, 2.8 * W_REF_KN / 79)
+    cell = grid.cell_sizes    # every map here covers the default window
     print("\ncell-normalized boundary separation (80x80 window):")
     for kind in (1, 2, 3, 4):
         model = reference_model(kind)

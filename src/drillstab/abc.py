@@ -37,7 +37,7 @@ import numpy as np
 
 from .bitrock import MODEL_KINDS, PARAM_COUNTS, PARAM_NAMES, torque_batch
 from .calibration import FitResult
-from .dataio import TorqueDataset
+from .dataio import TorqueDataset, write_json, write_table
 from .errors import (DataError, DomainError, DrillstabError,
                      InsufficientSamplesError, StallError)
 
@@ -168,8 +168,9 @@ def _normalize_model_prior(model_prior) -> tuple[np.ndarray, np.ndarray]:
     p = np.asarray(model_prior, dtype=float)
     if p.shape != (len(MODEL_KINDS),):
         raise DomainError(f"model prior needs {len(MODEL_KINDS)} entries")
-    if (p < 0).any() or not p.sum() > 0:
-        raise DomainError("model prior must be nonnegative with positive mass")
+    # written so that NaN and inf fail the test
+    if not ((p >= 0).all() and 0 < p.sum() < math.inf):
+        raise DomainError("model prior must be finite, nonnegative, with positive mass")
     p = p / p.sum()
     return p, np.cumsum(p)
 
@@ -393,16 +394,13 @@ def save_state(state: AbcState, directory) -> Path:
     """Serialize to a CSV bundle plus a JSON manifest; returns the dir."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    header = ("model_tag," + ",".join(f"phi{j}" for j in range(MAX_PARAMS))
-              + ",distance")
+    header = ["model_tag", *(f"phi{j}" for j in range(MAX_PARAMS)), "distance"]
     for g, pop in enumerate(state.populations, start=1):
-        columns = [map(str, pop.kinds.astype(int).tolist())]
-        columns += [["" if c == "nan" else c for c in map(repr, col.tolist())]
-                    for col in pop.phis.T]
-        columns.append(map(repr, pop.distances.tolist()))
-        rows = map(",".join, zip(*columns))
-        (directory / f"population_{g:02d}.csv").write_text(
-            "\n".join([header, *rows]) + "\n", encoding="utf-8")
+        # the NaN padding past a model's parameter count is an empty cell
+        phis = [["" if c == "nan" else c for c in map(repr, col.tolist())]
+                for col in pop.phis.T]
+        write_table(directory / f"population_{g:02d}.csv", header,
+                    [pop.kinds, *phis, pop.distances])
     manifest = {
         "n": state.n,
         "seed": state.seed,
@@ -420,8 +418,7 @@ def save_state(state: AbcState, directory) -> Path:
             for k, pr in sorted(state.priors.items())
         },
     }
-    (directory / "abc_state.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(directory / "abc_state.json", manifest)
     return directory
 
 

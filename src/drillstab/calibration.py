@@ -61,13 +61,7 @@ def metric(dataset: TorqueDataset, model: BitRockModel, r) -> float:
                          dataset.calibration_speeds, y)
 
 
-def _clip_to_bounds(x: np.ndarray, bounds) -> np.ndarray:
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
-    return np.clip(x, lo, hi)
-
-
-def fit(dataset: TorqueDataset, kind: int, r, initial, bounds=None,
+def fit(dataset: TorqueDataset, kind: int, r, initial,
         max_evals: int = 50_000, n_starts: int = 1, jitter: float = 0.2,
         seed: int = 0) -> FitResult:
     """Fit one law to the calibration samples with Nelder-Mead.
@@ -84,12 +78,8 @@ def fit(dataset: TorqueDataset, kind: int, r, initial, bounds=None,
         raise DataError("calibration torques are all zero; metric undefined")
     if n_starts < 1:
         raise DomainError("n_starts must be >= 1")
-    x0 = np.array(validate_params(kind, initial), dtype=float)
-    if bounds is None:
-        bounds = default_bounds(kind)
-    if len(bounds) != PARAM_COUNTS[kind]:
-        raise DomainError(f"bounds must have {PARAM_COUNTS[kind]} entries")
-    x0 = _clip_to_bounds(x0, bounds)
+    lo, hi = np.array(default_bounds(kind)).T
+    x0 = np.clip(np.array(validate_params(kind, initial), dtype=float), lo, hi)
     if not signs_hold(kind, x0.tolist()):
         raise DomainError("initial point violates the model invariants")
     # bound once; a TorqueDataset holds only finite speeds >= 0, so the
@@ -108,15 +98,14 @@ def fit(dataset: TorqueDataset, kind: int, r, initial, bounds=None,
     starts = [x0]
     for _ in range(n_starts - 1):
         cand = x0 * rng.uniform(1.0 - jitter, 1.0 + jitter, size=x0.shape)
-        cand = _clip_to_bounds(cand, bounds)
+        cand = np.clip(cand, lo, hi)
         starts.append(cand if signs_hold(kind, cand.tolist()) else x0)
 
     best_x, best_f, total_nfev, converged = x0, objective(x0), 0, True
-    sp_bounds = scipy.optimize.Bounds(
-        np.array([b[0] for b in bounds]), np.array([b[1] for b in bounds]))
     for start in starts:
         res = scipy.optimize.minimize(
-            objective, start, method="Nelder-Mead", bounds=sp_bounds,
+            objective, start, method="Nelder-Mead",
+            bounds=scipy.optimize.Bounds(lo, hi),
             options=dict(maxfev=max_evals, xatol=1e-10, fatol=1e-14,
                          adaptive=True))
         total_nfev += res.nfev

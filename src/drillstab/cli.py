@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__, abc as abc_mod, svgplot
 from .bitrock import BitRockModel, MODEL_KINDS, PARAM_COUNTS, WobRatio
 from .calibration import fit
-from .dataio import read_csv, synthesize, write_csv
+from .dataio import read_csv, synthesize, write_csv, write_json, write_table
 from .dynamics import LumpedDrillString
 from .errors import (ConfigError, DataError, DrillstabError, DomainError,
                      NumericError)
@@ -99,8 +99,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict,
         "wall_time_s": round(time.monotonic() - t0, 3),
         "outputs": sorted(outputs),
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(out_dir / "manifest.json", manifest)
 
 
 def _out_dir(config) -> Path:
@@ -154,8 +153,7 @@ def run_fit(config: dict) -> list[str]:
             "converged": res.converged,
         } for k, res in sorted(results.items())
     }
-    outputs = [_write_text(out / "fit_report.json",
-                           json.dumps(report, indent=2, sort_keys=True) + "\n")]
+    outputs = [write_json(out / "fit_report.json", report).name]
     lines = [f"{'model':<6} {'rho':<12} {'nfev':<7} conv  parameters"]
     for k, res in sorted(results.items()):
         pstr = ", ".join(f"{v:.6g}" for v in res.model.params)
@@ -193,17 +191,14 @@ def run_abc(config: dict) -> list[str]:
     outputs.append("abc_state/abc_state.json")
 
     # probability / tolerance evolution
-    lines = ["population,tolerance,attempts," +
-             ",".join(f"p_m{k}" for k in MODEL_KINDS)]
-    evo = []
-    for g in range(1, state.n_populations + 1):
-        probs = [float(p) for p in abc_mod.model_posterior(state, g)]
-        evo.append(probs)
-        lines.append(f"{g},{state.tolerances[g - 1]!r},"
-                     f"{state.populations[g - 1].attempts},"
-                     + ",".join(repr(p) for p in probs))
-    outputs.append(_write_text(out / "probability_evolution.csv",
-                               "\n".join(lines) + "\n"))
+    gens = list(range(1, state.n_populations + 1))
+    evo = np.array([[float(p) for p in abc_mod.model_posterior(state, g)]
+                    for g in gens])
+    outputs.append(write_table(
+        out / "probability_evolution.csv",
+        ["population", "tolerance", "attempts", *(f"p_m{k}" for k in MODEL_KINDS)],
+        [np.array(gens), np.array(state.tolerances),
+         np.array([pop.attempts for pop in state.populations]), *evo.T]).name)
 
     final = state.n_populations
     rich = [k for k in MODEL_KINDS
@@ -213,31 +208,26 @@ def run_abc(config: dict) -> list[str]:
     envelopes = {}
     for k in rich:
         stats = abc_mod.posterior_stats(state, final, k)
-        lines = ["param,bin_lo,bin_hi,count"]
-        for j, name in enumerate(stats.param_names):
-            e, c = stats.bin_edges[j], stats.bin_counts[j]
-            for b in range(len(c)):
-                lines.append(f"{name},{float(e[b])!r},{float(e[b + 1])!r},{int(c[b])}")
-        outputs.append(_write_text(out / f"marginals_m{k}.csv",
-                                   "\n".join(lines) + "\n"))
-        lines = ["," + ",".join(stats.param_names)]
-        for j, name in enumerate(stats.param_names):
-            row = [name] + [repr(float(v)) for v in stats.correlation[j]]
-            lines.append(",".join(row))
-        outputs.append(_write_text(out / f"correlation_m{k}.csv",
-                                   "\n".join(lines) + "\n"))
+        edges = stats.bin_edges
+        outputs.append(write_table(
+            out / f"marginals_m{k}.csv", ["param", "bin_lo", "bin_hi", "count"],
+            [[name for name, c in zip(stats.param_names, stats.bin_counts)
+              for _ in c],
+             np.concatenate([e[:-1] for e in edges]),
+             np.concatenate([e[1:] for e in edges]),
+             np.concatenate(stats.bin_counts)]).name)
+        outputs.append(write_table(
+            out / f"correlation_m{k}.csv", ["", *stats.param_names],
+            [stats.param_names, *stats.correlation.T]).name)
         low, high = envelopes[k] = abc_mod.predictive_envelope(
             state, final, k, speeds, coverage=coverage, r=r)
-        lines = ["speed_rad_s,torque_low_knm,torque_high_knm"]
-        for s, lo_v, hi_v in zip(speeds, low, high):
-            lines.append(f"{float(s)!r},{float(lo_v)!r},{float(hi_v)!r}")
-        outputs.append(_write_text(out / f"envelope_m{k}.csv",
-                                   "\n".join(lines) + "\n"))
+        outputs.append(write_table(
+            out / f"envelope_m{k}.csv",
+            ["speed_rad_s", "torque_low_knm", "torque_high_knm"],
+            [speeds, low, high]).name)
 
     if not config["no_svg"]:
-        evo_arr = np.array(evo)
-        gens = list(range(1, state.n_populations + 1))
-        series = [svgplot.Series(x=gens, y=list(evo_arr[:, i]), label=f"m{k}")
+        series = [svgplot.Series(x=gens, y=list(evo[:, i]), label=f"m{k}")
                   for i, k in enumerate(MODEL_KINDS)]
         outputs.append(_write_text(
             out / "model_probabilities.svg",
@@ -307,19 +297,12 @@ def run_map(config: dict) -> list[str]:
                                           config["xi"]))
     kwargs = dict(_grid_kwargs(config, w_ref), c_star=critical_damping(plant))
     out = _out_dir(config)
-    outputs = []
-    curves = []
 
+    # one (file tag, legend label, (grid, curve)) per map
     if mode == "deterministic":
-        for kind in kinds:
-            model = BitRockModel(kind=kind,
-                                 params=_params_for(kind, config["params"]))
-            grid, curve = map_deterministic(model, plant, w_ref, **kwargs)
-            outputs.append(grid_to_csv(grid, out / f"map_m{kind}_grid.csv",
-                                       w_ref).name)
-            outputs.append(boundary_to_csv(
-                curve, out / f"map_m{kind}_boundary.csv", w_ref).name)
-            curves.append((f"m{kind} (MAP)", curve, False))
+        maps = [(f"m{kind}", f"m{kind} (MAP)", map_deterministic(
+            BitRockModel(kind=kind, params=_params_for(kind, config["params"])),
+            plant, w_ref, **kwargs)) for kind in kinds]
     else:
         if config["abc_state"] is None:
             raise ConfigError(f"--abc-state is required for mode {mode}")
@@ -335,17 +318,10 @@ def run_map(config: dict) -> list[str]:
                     f"{g}; need >= {min_particles}")
             sets.append((kind, phis))
         if mode == "stochastic":
-            for kind, phis in sets:
-                grid, curve = map_stochastic(kind, phis, plant, w_ref,
-                                             percentile=pct,
-                                             min_particles=min_particles,
-                                             **kwargs)
-                tag = f"m{kind}_p{pct:g}"
-                outputs.append(grid_to_csv(grid, out / f"map_{tag}_grid.csv",
-                                           w_ref).name)
-                outputs.append(boundary_to_csv(
-                    curve, out / f"map_{tag}_boundary.csv", w_ref).name)
-                curves.append((f"m{kind} ({pct:.0%} unstable)", curve, True))
+            maps = [(f"m{kind}_p{pct:g}", f"m{kind} ({pct:.0%} unstable)",
+                     map_stochastic(kind, phis, plant, w_ref, percentile=pct,
+                                    min_particles=min_particles, **kwargs))
+                    for kind, phis in sets]
         else:
             weights = config["weights"]
             if weights is None:
@@ -356,21 +332,23 @@ def run_map(config: dict) -> list[str]:
                 weights = [c / total for c in counts]
             else:
                 weights = _floats(weights, "--weights")
-            grid, curve = map_mixture(sets, weights, plant, w_ref,
-                                      percentile=pct,
-                                      min_particles=min_particles, **kwargs)
-            outputs.append(grid_to_csv(grid, out / "map_mixture_grid.csv",
-                                       w_ref).name)
-            outputs.append(boundary_to_csv(
-                curve, out / "map_mixture_boundary.csv", w_ref).name)
             label = "+".join(f"{w:.0%} m{k}" for (k, _), w in zip(sets, weights))
-            curves.append((f"mixture {label}", curve, True))
+            maps = [("mixture", f"mixture {label}",
+                     map_mixture(sets, weights, plant, w_ref, percentile=pct,
+                                 min_particles=min_particles, **kwargs))]
 
-    if not config["no_svg"] and curves:
+    outputs = []
+    for tag, _, (grid, curve) in maps:
+        outputs.append(grid_to_csv(grid, out / f"map_{tag}_grid.csv", w_ref).name)
+        outputs.append(boundary_to_csv(
+            curve, out / f"map_{tag}_boundary.csv", w_ref).name)
+
+    if not config["no_svg"]:
         omega_span = config["omega_max"] - config["omega_min"]
         gap = 1.5 * omega_span / max(config["resolution"] - 1, 1)
+        dashed = mode != "deterministic"
         series = []
-        for idx, (label, curve, dashed) in enumerate(curves):
+        for idx, (_, label, (_, curve)) in enumerate(maps):
             if len(curve) == 0:
                 continue
             # split at window-exit gaps so re-entering branches are not
@@ -398,10 +376,11 @@ def run_map(config: dict) -> list[str]:
 def run_fem_modes(config: dict) -> list[str]:
     modes = modal_properties(_fem_plant(config))
     out = _out_dir(config)
-    lines = ["mode,omega_rad_s,omega_rpm,xi"]
-    for i, (w, xi) in enumerate(modes, start=1):
-        lines.append(f"{i},{w!r},{w * RAD_S_TO_RPM!r},{xi!r}")
-    outputs = [_write_text(out / "modes.csv", "\n".join(lines) + "\n")]
+    w, xi = np.array(modes).T
+    outputs = [write_table(out / "modes.csv",
+                           ["mode", "omega_rad_s", "omega_rpm", "xi"],
+                           [np.arange(1, len(modes) + 1), w, w * RAD_S_TO_RPM,
+                            xi]).name]
     txt = [f"{'mode':<5} {'omega [rad/s]':<14} {'omega [RPM]':<12} xi"]
     txt += [f"{i:<5d} {w:<14.4f} {w * RAD_S_TO_RPM:<12.3f} {xi:.4f}"
             for i, (w, xi) in enumerate(modes, start=1)]

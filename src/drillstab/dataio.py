@@ -1,7 +1,10 @@
-"""Torque-vs-speed dataset ingestion, generation, and CSV round-trips.
+"""Torque-vs-speed dataset ingestion and generation, and the writers of
+every output file.
 
-The on-disk format is a plain comma-separated file (UTF-8, LF) with
-optional ``# key=value`` metadata lines, then a header::
+``write_table`` writes each CSV the package produces (UTF-8, LF, floats
+written with ``repr`` so a write/read cycle is bit-exact) and
+``write_json`` each JSON file. A dataset is such a table with optional
+``# key=value`` metadata lines before its header::
 
     # w_ref_kn=244.2
     # source=synthetic:m3:seed=1
@@ -9,12 +12,12 @@ optional ``# key=value`` metadata lines, then a header::
 
 ``speed`` is stored in rad/s when written by this package; ``read_csv``
 accepts files recorded in RPM via ``speed_unit="rpm"``. ``split`` is
-``calibration`` or ``validation`` (default calibration). Floats are
-written with ``repr`` so a write/read cycle is bit-exact.
+``calibration`` or ``validation`` (default calibration).
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -137,17 +140,38 @@ def synthesize(model: BitRockModel, r, speeds=None, noise_std: float = 0.0,
                          split=split.astype(object), source=source, w_ref=w_ref)
 
 
+def write_table(path, header, columns, preamble=()) -> Path:
+    """Write a comma-separated table (UTF-8, LF); returns the path.
+
+    ``columns`` are whole columns of equal length. A numeric NumPy array
+    (integer or float) is written one ``repr`` per value; any other column
+    holds ready-made string cells. ``preamble`` lines precede the header.
+    """
+    path = Path(path)
+    cells = [map(repr, col.tolist())
+             if isinstance(col, np.ndarray) and col.dtype.kind in "iuf" else col
+             for col in columns]
+    rows = map(",".join, zip(*cells))
+    path.write_text("\n".join([*preamble, ",".join(header), *rows]) + "\n",
+                    encoding="utf-8", newline="\n")
+    return path
+
+
+def write_json(path, obj) -> Path:
+    """Write ``obj`` as JSON with sorted keys and a 2-space indent."""
+    path = Path(path)
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8", newline="\n")
+    return path
+
+
 def write_csv(dataset: TorqueDataset, path) -> Path:
     """Write the fixed CSV schema (speeds in rad/s); returns the path."""
-    path = Path(path)
-    lines = ["# drillstab-dataset",
-             f"# w_ref_kn={dataset.w_ref!r}",
-             f"# source={dataset.source}",
-             "speed,torque_knm,split"]
-    for s, t, sp in zip(dataset.speeds, dataset.torques, dataset.split):
-        lines.append(f"{float(s)!r},{float(t)!r},{sp}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    return path
+    return write_table(path, ["speed", "torque_knm", "split"],
+                       [dataset.speeds, dataset.torques, dataset.split],
+                       preamble=["# drillstab-dataset",
+                                 f"# w_ref_kn={dataset.w_ref!r}",
+                                 f"# source={dataset.source}"])
 
 
 def read_csv(path, speed_unit: str = "rad_s") -> TorqueDataset:

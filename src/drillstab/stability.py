@@ -21,6 +21,7 @@ import numpy as np
 
 from .bitrock import (BitRockModel, PARAM_COUNTS, WobRatio,
                       torque_derivative_batch, torque_derivative_eval)
+from .dataio import write_table
 from .dynamics import KNM_TO_NM, LumpedDrillString, OperatingPoint, jacobian_1dof
 from .errors import DomainError, InsufficientSamplesError, NumericError
 from .fem import (FemTorsionalModel, eigenvalues_general, jacobian_fem,
@@ -195,6 +196,8 @@ def _threshold_map(components, weights, plant, w_ref, omega_axis, wob_axis,
     s r <= c*: with sign that of -c*, at and above u* = sign c*/s in
     u = sign r (u* = sign inf where sign s >= 0).
     """
+    if not 0 <= percentile <= 1:
+        raise DomainError(f"percentile must lie in [0, 1], got {percentile}")
     if c_star is None:
         c_star = critical_damping(plant)
     sign = 1.0 if c_star < 0 else -1.0
@@ -269,8 +272,6 @@ def map_stochastic(kind: int, phis: np.ndarray, plant, w_ref: float,
     if len(phis) < min_particles:
         raise InsufficientSamplesError(
             f"need >= {min_particles} particles, got {len(phis)}")
-    if not 0 <= percentile <= 1:
-        raise DomainError(f"percentile must lie in [0, 1], got {percentile}")
     omega_axis, wob_axis = _axes(omega_range, wob_range, resolution, w_ref)
     p, curve = _threshold_map([(kind, phis)], [1.0], plant, w_ref,
                               omega_axis, wob_axis, percentile, c_star)
@@ -296,7 +297,8 @@ def map_mixture(components, weights, plant, w_ref: float,
     weights = np.asarray(weights, dtype=float)
     if len(weights) != len(components):
         raise DomainError("one weight per component required")
-    if (weights < 0).any() or abs(weights.sum() - 1.0) > 1e-12:
+    # written so that NaN and inf fail the test
+    if not ((weights >= 0).all() and abs(weights.sum() - 1.0) <= 1e-12):
         raise DomainError("weights must be nonnegative and sum to 1")
     for _, phis in components:
         if len(phis) < min_particles:
@@ -369,26 +371,19 @@ def boundary_separation(a: BoundaryCurve, b: BoundaryCurve,
 
 def grid_to_csv(grid: StabilityGrid, path, w_ref: float) -> Path:
     """Cell-center export: omega (rad/s and RPM), W (kN and r), value(s)."""
-    path = Path(path)
-    has_p = grid.p_unstable is not None
-    header = "omega_rad_s,omega_rpm,wob_kn,r,stable" + (",p_unstable" if has_p else "")
-    lines = [header]
-    for i, om in enumerate(grid.omega_axis):
-        for j, w in enumerate(grid.wob_axis):
-            row = (f"{float(om)!r},{float(om * RAD_S_TO_RPM)!r},{float(w)!r},"
-                   f"{float(w / w_ref)!r},{int(grid.stable[i, j])}")
-            if has_p:
-                row += f",{float(grid.p_unstable[i, j])!r}"
-            lines.append(row)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    n_om, n_w = grid.stable.shape
+    header = ["omega_rad_s", "omega_rpm", "wob_kn", "r", "stable"]
+    columns = [np.repeat(grid.omega_axis, n_w),
+               np.repeat(grid.omega_axis * RAD_S_TO_RPM, n_w),
+               np.tile(grid.wob_axis, n_om), np.tile(grid.wob_axis / w_ref, n_om),
+               grid.stable.astype(int).ravel()]
+    if grid.p_unstable is not None:
+        header.append("p_unstable")
+        columns.append(grid.p_unstable.ravel())
+    return write_table(path, header, columns)
 
 
 def boundary_to_csv(curve: BoundaryCurve, path, w_ref: float) -> Path:
-    path = Path(path)
-    lines = ["omega_rad_s,omega_rpm,wob_kn,r"]
-    for om, w in curve.points:
-        lines.append(f"{float(om)!r},{float(om * RAD_S_TO_RPM)!r},"
-                     f"{float(w)!r},{float(w / w_ref)!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    om, w = curve.points.T
+    return write_table(path, ["omega_rad_s", "omega_rpm", "wob_kn", "r"],
+                       [om, om * RAD_S_TO_RPM, w, w / w_ref])

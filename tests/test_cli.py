@@ -191,6 +191,15 @@ class TestAbc:
                        "reference", "--model-prior", "x,1,1,1") == 2
         assert "--model-prior" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("prior", ["inf,1,1,1", "1,nan,1,1"])
+    def test_non_finite_model_prior_exits_2(self, dataset_dir, tmp_path,
+                                            capsys, prior):
+        assert run_cli("abc", "--out-dir", tmp_path, "--data",
+                       dataset_dir / "dataset.csv", "--prior-centers",
+                       "reference", f"--model-prior={prior}") == 2
+        assert "model prior must be" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
     @pytest.mark.parametrize("threads", ["-4", "two"])
     def test_bad_threads_exit_2(self, dataset_dir, tmp_path, threads):
         assert run_cli("abc", "--out-dir", tmp_path, "--data",
@@ -263,6 +272,22 @@ class TestMap:
                        "--models", "m2,m3", "--min-particles", "30",
                        "--weights", "0.5,y") == 2
         assert "--weights" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, value, fragment", [
+        ("mixture", "--percentile=1.5", "percentile"),
+        ("mixture", "--percentile=-0.2", "percentile"),
+        ("stochastic", "--percentile=1.5", "percentile"),
+        ("mixture", "--weights=nan,nan", "weights"),
+        ("mixture", "--weights=1,nan", "weights"),
+    ])
+    def test_out_of_range_map_value_exits_2(self, abc_dir, tmp_path, capsys,
+                                            mode, value, fragment):
+        assert run_cli("map", "--out-dir", tmp_path, "--mode", mode,
+                       "--abc-state", abc_dir / "abc_state",
+                       "--models", "m2,m3", "--min-particles", "30",
+                       "--resolution", "8", value) == 2
+        assert fragment in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_damaged_abc_state_exits_4(self, abc_dir, tmp_path):
         bundle = tmp_path / "abc_state"
