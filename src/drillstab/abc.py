@@ -44,6 +44,7 @@ from .errors import (DataError, DomainError, DrillstabError,
 MAX_PARAMS = max(PARAM_COUNTS.values())
 
 DEFAULT_EPS_FLOOR = 0.014
+ENVELOPE_MIN_PARTICLES = 50
 _CHUNK = 8192
 _ENVELOPE_BLOCK = 16
 
@@ -84,9 +85,6 @@ class PriorSpec:
         """Map uniforms in [0,1)^(..., p) onto the box."""
         return self.lo + u * (self.hi - self.lo)
 
-    def contains(self, phi: np.ndarray) -> bool:
-        return bool((phi >= self.lo).all() and (phi <= self.hi).all())
-
 
 def build_priors(fits: dict[int, "FitResult | tuple | np.ndarray"],
                  delta: float) -> dict[int, PriorSpec]:
@@ -96,15 +94,6 @@ def build_priors(fits: dict[int, "FitResult | tuple | np.ndarray"],
         center = f.model.params if isinstance(f, FitResult) else f
         priors[kind] = PriorSpec.from_center(kind, center, delta)
     return priors
-
-
-@dataclass(frozen=True)
-class Particle:
-    """One accepted draw: model tag, parameter vector, distance."""
-
-    kind: int
-    phi: np.ndarray
-    distance: float
 
 
 @dataclass(frozen=True)
@@ -123,11 +112,6 @@ class Population:
 
     def __len__(self) -> int:
         return len(self.kinds)
-
-    def __getitem__(self, i: int) -> Particle:
-        k = int(self.kinds[i])
-        return Particle(kind=k, phi=self.phis[i, :PARAM_COUNTS[k]].copy(),
-                        distance=float(self.distances[i]))
 
     def particles_of(self, kind: int) -> np.ndarray:
         """(m, p) parameter matrix of the particles carrying one tag."""
@@ -229,8 +213,6 @@ def run(dataset: TorqueDataset, priors: dict[int, PriorSpec],
     y = dataset.calibration_torques
     speeds = dataset.calibration_speeds
     ynorm = float(np.dot(y, y))
-    if not ynorm > 0:
-        raise DataError("calibration torques are all zero")
     prior_vec, cum_prior = _normalize_model_prior(model_prior)
     threads = max(1, int(threads))
 
@@ -366,7 +348,7 @@ def check_coverage(coverage: float) -> None:
 
 def predictive_envelope(state: AbcState, g: int, kind: int, speeds,
                         coverage: float = 0.98, r=1.0,
-                        min_particles: int = 50
+                        min_particles: int = ENVELOPE_MIN_PARTICLES
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise (low, high) torque quantile band over one model's particles.
 

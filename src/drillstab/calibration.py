@@ -12,6 +12,7 @@ simplex inside the valid region).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ import scipy.optimize
 from .bitrock import (BitRockModel, PARAM_COUNTS, SIGN_CONSTRAINTS, TORQUE_LAWS,
                       as_ratio, signs_hold, torque_eval, validate_params)
 from .dataio import TorqueDataset
-from .errors import DataError, DomainError
+from .errors import DomainError, NumericError
 
 _EPS_POSITIVE = 1e-12
 
@@ -54,11 +55,8 @@ def metric_arrays(kind: int, params, r, speeds: np.ndarray,
 def metric(dataset: TorqueDataset, model: BitRockModel, r) -> float:
     """Relative squared misfit of a model over the calibration samples."""
     dataset.require_calibration()
-    y = dataset.calibration_torques
-    if not np.dot(y, y) > 0:
-        raise DataError("calibration torques are all zero; metric undefined")
     return metric_arrays(model.kind, model.params, r,
-                         dataset.calibration_speeds, y)
+                         dataset.calibration_speeds, dataset.calibration_torques)
 
 
 def fit(dataset: TorqueDataset, kind: int, r, initial,
@@ -70,21 +68,22 @@ def fit(dataset: TorqueDataset, kind: int, r, initial,
     the remaining starts jitter the initial point multiplicatively by
     U(1-jitter, 1+jitter) (deterministic under ``seed``) and the best
     vertex over all starts is returned. Hitting the evaluation cap yields
-    ``converged=False`` with the best parameters found, not an exception.
+    ``converged=False`` with the best parameters found, not an exception;
+    a misfit that is not finite at ``initial`` raises NumericError.
     """
     dataset.require_calibration()
-    y = dataset.calibration_torques
-    if not np.dot(y, y) > 0:
-        raise DataError("calibration torques are all zero; metric undefined")
     if n_starts < 1:
         raise DomainError("n_starts must be >= 1")
+    # the start draws span 2 jitter; written so that NaN fails the test
+    if not 0 <= 2.0 * jitter < math.inf:
+        raise DomainError(f"jitter must be >= 0 with 2 * jitter finite, got {jitter}")
     lo, hi = np.array(default_bounds(kind)).T
     x0 = np.clip(np.array(validate_params(kind, initial), dtype=float), lo, hi)
     if not signs_hold(kind, x0.tolist()):
         raise DomainError("initial point violates the model invariants")
     # bound once; a TorqueDataset holds only finite speeds >= 0, so the
     # objective runs the law without torque_eval's speed checks
-    speeds = dataset.calibration_speeds
+    speeds, y = dataset.calibration_speeds, dataset.calibration_torques
     law, rv, ynorm = TORQUE_LAWS[kind], as_ratio(r), float(np.dot(y, y))
 
     def objective(x):
@@ -94,14 +93,17 @@ def fit(dataset: TorqueDataset, kind: int, r, initial,
         resid = y - law(rv, p, speeds, np)
         return float(np.dot(resid, resid) / ynorm)
 
+    best_x, best_f, total_nfev, converged = x0, objective(x0), 0, True
+    if not best_f < math.inf:
+        raise NumericError(f"the misfit is {best_f} at the initial point")
     rng = np.random.default_rng(seed)
     starts = [x0]
     for _ in range(n_starts - 1):
         cand = x0 * rng.uniform(1.0 - jitter, 1.0 + jitter, size=x0.shape)
         cand = np.clip(cand, lo, hi)
-        starts.append(cand if signs_hold(kind, cand.tolist()) else x0)
+        # off the invariants, or where the misfit overflows, start at x0
+        starts.append(cand if objective(cand) < math.inf else x0)
 
-    best_x, best_f, total_nfev, converged = x0, objective(x0), 0, True
     for start in starts:
         res = scipy.optimize.minimize(
             objective, start, method="Nelder-Mead",

@@ -39,10 +39,9 @@ from .fem import assemble, modal_properties
 from .reference import (REFERENCE_GEOMETRY, REFERENCE_INERTIA,
                         REFERENCE_OMEGA_N, REFERENCE_PARAMS, REFERENCE_XI,
                         W_REF_KN)
-from .stability import (DEFAULT_OMEGA_RANGE, DEFAULT_RESOLUTION,
-                        DEFAULT_WOB_FRACTIONS, RAD_S_TO_RPM, boundary_to_csv,
-                        critical_damping, grid_to_csv, map_deterministic,
-                        map_mixture, map_stochastic)
+from .stability import (DEFAULT_OMEGA_RANGE, DEFAULT_RESOLUTION, RAD_S_TO_RPM,
+                        boundary_to_csv, critical_damping, grid_to_csv,
+                        map_deterministic, map_mixture, map_stochastic)
 
 _MODEL_NAMES = {f"m{k}": k for k in MODEL_KINDS}
 
@@ -202,7 +201,7 @@ def run_abc(config: dict) -> list[str]:
 
     final = state.n_populations
     rich = [k for k in MODEL_KINDS
-            if state.populations[-1].count(k) >= 50]
+            if state.populations[-1].count(k) >= abc_mod.ENVELOPE_MIN_PARTICLES]
     speeds = np.linspace(float(dataset.speeds.min()),
                          float(dataset.speeds.max()), 200)
     envelopes = {}
@@ -269,15 +268,6 @@ def _fem_plant(config):
                     beta=config["beta"])
 
 
-def _grid_kwargs(config, w_ref):
-    wob = (config["wob_min"], config["wob_max"])
-    wob_range = None if wob == (None, None) else tuple(
-        f * w_ref if v is None else v for v, f in zip(wob, DEFAULT_WOB_FRACTIONS))
-    return dict(omega_range=(config["omega_min"], config["omega_max"]),
-                wob_range=wob_range,
-                resolution=(config["resolution"], config["resolution"]))
-
-
 # map options that only some modes read; any other mode rejects them
 _MAP_MODE_OPTIONS = {"params": ("deterministic",),
                      "abc_state": ("stochastic", "mixture"),
@@ -295,7 +285,10 @@ def run_map(config: dict) -> list[str]:
     plant = (_fem_plant(config) if config["plant"] == "fem" else
              LumpedDrillString.from_modal(config["i_eq"], config["omega_n"],
                                           config["xi"]))
-    kwargs = dict(_grid_kwargs(config, w_ref), c_star=critical_damping(plant))
+    kwargs = dict(omega_range=(config["omega_min"], config["omega_max"]),
+                  wob_range=(config["wob_min"], config["wob_max"]),
+                  resolution=(config["resolution"], config["resolution"]),
+                  c_star=critical_damping(plant))
     out = _out_dir(config)
 
     # one (file tag, legend label, (grid, curve)) per map
@@ -306,9 +299,11 @@ def run_map(config: dict) -> list[str]:
     else:
         if config["abc_state"] is None:
             raise ConfigError(f"--abc-state is required for mode {mode}")
+        pct, min_particles = config["percentile"], config["min_particles"]
+        if min_particles < 1:
+            raise ConfigError(f"--min-particles must be >= 1, got {min_particles}")
         g, pop = abc_mod.load_population(config["abc_state"],
                                          config["population"])
-        pct, min_particles = config["percentile"], config["min_particles"]
         sets = []
         for kind in kinds:
             phis = pop.particles_of(kind)
@@ -320,22 +315,19 @@ def run_map(config: dict) -> list[str]:
         if mode == "stochastic":
             maps = [(f"m{kind}_p{pct:g}", f"m{kind} ({pct:.0%} unstable)",
                      map_stochastic(kind, phis, plant, w_ref, percentile=pct,
-                                    min_particles=min_particles, **kwargs))
+                                    **kwargs))
                     for kind, phis in sets]
         else:
             weights = config["weights"]
             if weights is None:
                 counts = [pop.count(k) for k, _ in sets]
-                total = sum(counts)
-                if total == 0:
-                    raise DataError("no particles for the mixture components")
-                weights = [c / total for c in counts]
+                weights = [c / sum(counts) for c in counts]
             else:
                 weights = _floats(weights, "--weights")
             label = "+".join(f"{w:.0%} m{k}" for (k, _), w in zip(sets, weights))
             maps = [("mixture", f"mixture {label}",
                      map_mixture(sets, weights, plant, w_ref, percentile=pct,
-                                 min_particles=min_particles, **kwargs))]
+                                 **kwargs))]
 
     outputs = []
     for tag, _, (grid, curve) in maps:
@@ -344,19 +336,15 @@ def run_map(config: dict) -> list[str]:
             curve, out / f"map_{tag}_boundary.csv", w_ref).name)
 
     if not config["no_svg"]:
-        omega_span = config["omega_max"] - config["omega_min"]
-        gap = 1.5 * omega_span / max(config["resolution"] - 1, 1)
         dashed = mode != "deterministic"
         series = []
-        for idx, (_, label, (_, curve)) in enumerate(maps):
+        for idx, (_, label, (grid, curve)) in enumerate(maps):
             if len(curve) == 0:
                 continue
-            # split at window-exit gaps so re-entering branches are not
+            # one polyline per piece, so re-entering branches are not
             # bridged by a spurious segment
-            pts = curve.points
-            breaks = np.flatnonzero(np.diff(pts[:, 0]) > gap)
             color = svgplot.PALETTE[idx % len(svgplot.PALETTE)]
-            for i, piece in enumerate(np.split(pts, breaks + 1)):
+            for i, piece in enumerate(curve.pieces(grid.cell_sizes[0])):
                 series.append(svgplot.Series(
                     x=[om * RAD_S_TO_RPM for om in piece[:, 0]],
                     y=list(piece[:, 1]), label=label if i == 0 else "",
@@ -434,7 +422,7 @@ def _add_command(sub, name: str, summary: str) -> argparse.ArgumentParser:
     p = sub.add_parser(name, help=summary, allow_abbrev=False)
     p.add_argument("--out-dir", required=True,
                    help="output directory (created if missing)")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_nonnegative_int, default=0,
                    help="RNG seed (default 0, recorded in the manifest)")
     return p
 
@@ -451,7 +439,7 @@ def _add_fem_plant(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", type=float, default=0.006)
 
 
-def _threads(text: str) -> int:
+def _nonnegative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
@@ -508,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=1.0)
     p.add_argument("--starts", type=int, default=3,
                    help="multi-starts for the internal LS fits")
-    p.add_argument("--threads", type=_threads,
+    p.add_argument("--threads", type=_nonnegative_int,
                    help="default or 0: available parallelism; 1 forces serial")
     p.add_argument("--envelope-coverage", type=float, default=0.98)
     p.add_argument("--no-svg", action="store_true")

@@ -104,11 +104,15 @@ class TorqueDataset:
         return int(self.calibration_mask.sum())
 
     def require_calibration(self) -> None:
-        """Raise unless the dataset can back a fitting call."""
+        """Raise unless the dataset can back a fitting call: enough
+        calibration samples, with a positive squared torque norm."""
         if self.n_calibration < MIN_CALIBRATION_SAMPLES:
             raise DataError(
                 f"need at least {MIN_CALIBRATION_SAMPLES} calibration samples, "
                 f"got {self.n_calibration}")
+        y = self.calibration_torques
+        if not np.dot(y, y) > 0:
+            raise DataError("calibration torques are all zero; metric undefined")
 
 
 def default_speed_grid(n: int = 200, lo: float = 0.5, hi: float = 15.0) -> np.ndarray:
@@ -180,9 +184,10 @@ def read_csv(path, speed_unit: str = "rad_s") -> TorqueDataset:
     if speed_unit not in ("rpm", "rad_s"):
         raise DomainError(f"speed_unit must be 'rpm' or 'rad_s', got {speed_unit!r}")
     path = Path(path)
-    if not path.exists():
-        raise IngestionError(f"no such file: {path}")
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IngestionError(f"cannot read {path}: {exc}") from None
     w_ref = W_REF_KN
     source = str(path)
     header = None

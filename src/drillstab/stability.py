@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bitrock import (BitRockModel, PARAM_COUNTS, WobRatio,
+from .bitrock import (BitRockModel, WobRatio,
                       torque_derivative_batch, torque_derivative_eval)
 from .dataio import write_table
 from .dynamics import KNM_TO_NM, LumpedDrillString, OperatingPoint, jacobian_1dof
@@ -53,7 +53,6 @@ class StabilityGrid:
     wob_axis: np.ndarray
     stable: np.ndarray
     p_unstable: np.ndarray | None
-    source: str
 
     def __post_init__(self):
         if (np.diff(self.omega_axis) <= 0).any() or (np.diff(self.wob_axis) <= 0).any():
@@ -88,6 +87,13 @@ class BoundaryCurve:
 
     def __len__(self) -> int:
         return len(self.points)
+
+    def pieces(self, omega_step: float) -> list[np.ndarray]:
+        """The points in ascending Omega (stable sort), split where Omega
+        jumps by over 1.5 ``omega_step`` (the curve left the window)."""
+        pts = self.points[np.argsort(self.points[:, 0], kind="stable")]
+        gaps = np.flatnonzero(np.diff(pts[:, 0]) > 1.5 * omega_step)
+        return np.split(pts, gaps + 1)
 
 
 def classify(model: BitRockModel, plant, op: OperatingPoint,
@@ -166,16 +172,15 @@ def critical_damping(plant) -> float:
 
 
 def _axes(omega_range, wob_range, resolution, w_ref):
-    """Grid axes; ``wob_range`` defaults to (0.2, 3.0) times ``w_ref``."""
-    if wob_range is None:
-        wob_range = (DEFAULT_WOB_FRACTIONS[0] * w_ref,
-                     DEFAULT_WOB_FRACTIONS[1] * w_ref)
+    """Grid axes; a ``None`` end of ``wob_range`` takes its default."""
+    wob_range = tuple(f * w_ref if v is None else v
+                      for v, f in zip(wob_range, DEFAULT_WOB_FRACTIONS))
     n_om, n_w = resolution
     if n_om < 2 or n_w < 2:
         raise DomainError("resolution must be at least 2 per axis")
-    if not (0 < omega_range[0] < omega_range[1]):
+    if not (0 < omega_range[0] < omega_range[1] < math.inf):
         raise DomainError(f"bad omega range {omega_range}")
-    if not (0 < wob_range[0] < wob_range[1]):
+    if not (0 < wob_range[0] < wob_range[1] < math.inf):
         raise DomainError(f"bad wob range {wob_range}")
     return (np.linspace(omega_range[0], omega_range[1], n_om),
             np.linspace(wob_range[0], wob_range[1], n_w))
@@ -198,6 +203,8 @@ def _threshold_map(components, weights, plant, w_ref, omega_axis, wob_axis,
     """
     if not 0 <= percentile <= 1:
         raise DomainError(f"percentile must lie in [0, 1], got {percentile}")
+    if any(len(phis) == 0 for _, phis in components):
+        raise InsufficientSamplesError("every mapped model needs a particle")
     if c_star is None:
         c_star = critical_damping(plant)
     sign = 1.0 if c_star < 0 else -1.0
@@ -242,50 +249,40 @@ def _threshold_map(components, weights, plant, w_ref, omega_axis, wob_axis,
 
 
 def map_deterministic(model: BitRockModel, plant, w_ref: float,
-                      omega_range=DEFAULT_OMEGA_RANGE, wob_range=None,
+                      omega_range=DEFAULT_OMEGA_RANGE, wob_range=(None, None),
                       resolution=DEFAULT_RESOLUTION, c_star=None
                       ) -> tuple[StabilityGrid, BoundaryCurve]:
     """Classify a dense grid for one parameter vector and extract the
-    boundary W*(Omega) = W_ref c* / (1000 T'(Omega)). ``wob_range`` defaults
-    to (0.2, 3.0) times ``w_ref``; ``c_star`` (any map) takes a precomputed
-    ``critical_damping(plant)``."""
+    boundary W*(Omega) = W_ref c* / (1000 T'(Omega)). Each ``None`` end of
+    ``wob_range`` (any map) defaults to DEFAULT_WOB_FRACTIONS times
+    ``w_ref``; ``c_star`` takes a precomputed ``critical_damping(plant)``."""
     omega_axis, wob_axis = _axes(omega_range, wob_range, resolution, w_ref)
     # one particle: its share is 0 or 1, unstable once it reaches 1
     p, curve = _threshold_map([(model.kind, [model.params])], [1.0], plant,
                               w_ref, omega_axis, wob_axis, 1.0, c_star)
     grid = StabilityGrid(omega_axis=omega_axis, wob_axis=wob_axis,
-                         stable=p < 1.0, p_unstable=None,
-                         source=f"deterministic:m{model.kind}")
+                         stable=p < 1.0, p_unstable=None)
     return grid, curve
 
 
 def map_stochastic(kind: int, phis: np.ndarray, plant, w_ref: float,
-                   omega_range=DEFAULT_OMEGA_RANGE, wob_range=None,
+                   omega_range=DEFAULT_OMEGA_RANGE, wob_range=(None, None),
                    resolution=DEFAULT_RESOLUTION, percentile: float = 0.02,
-                   min_particles: int = 100, c_star=None
-                   ) -> tuple[StabilityGrid, BoundaryCurve]:
-    """Instability-probability field over a posterior particle set plus the
-    contour where the probability crosses ``percentile``."""
-    phis = np.asarray(phis, dtype=float)
-    if phis.ndim != 2 or phis.shape[1] != PARAM_COUNTS[kind]:
-        raise DomainError(f"phis must have shape (m, {PARAM_COUNTS[kind]})")
-    if len(phis) < min_particles:
-        raise InsufficientSamplesError(
-            f"need >= {min_particles} particles, got {len(phis)}")
+                   c_star=None) -> tuple[StabilityGrid, BoundaryCurve]:
+    """Instability-probability field over a nonempty posterior particle set
+    plus the contour where the probability crosses ``percentile``."""
     omega_axis, wob_axis = _axes(omega_range, wob_range, resolution, w_ref)
     p, curve = _threshold_map([(kind, phis)], [1.0], plant, w_ref,
                               omega_axis, wob_axis, percentile, c_star)
     grid = StabilityGrid(omega_axis=omega_axis, wob_axis=wob_axis,
-                         stable=p < percentile, p_unstable=p,
-                         source=f"stochastic:m{kind}:p{percentile}")
+                         stable=p < percentile, p_unstable=p)
     return grid, curve
 
 
 def map_mixture(components, weights, plant, w_ref: float,
-                omega_range=DEFAULT_OMEGA_RANGE, wob_range=None,
+                omega_range=DEFAULT_OMEGA_RANGE, wob_range=(None, None),
                 resolution=DEFAULT_RESOLUTION, percentile: float = 0.02,
-                min_particles: int = 100, c_star=None
-                ) -> tuple[StabilityGrid, BoundaryCurve]:
+                c_star=None) -> tuple[StabilityGrid, BoundaryCurve]:
     """Weighted mixture of per-model stochastic maps.
 
     ``components`` is a sequence of (kind, phis); ``weights`` must be
@@ -300,18 +297,11 @@ def map_mixture(components, weights, plant, w_ref: float,
     # written so that NaN and inf fail the test
     if not ((weights >= 0).all() and abs(weights.sum() - 1.0) <= 1e-12):
         raise DomainError("weights must be nonnegative and sum to 1")
-    for _, phis in components:
-        if len(phis) < min_particles:
-            raise InsufficientSamplesError(
-                f"need >= {min_particles} particles per component, got {len(phis)}")
     omega_axis, wob_axis = _axes(omega_range, wob_range, resolution, w_ref)
     p, curve = _threshold_map(components, weights, plant, w_ref,
                               omega_axis, wob_axis, percentile, c_star)
-    grid = StabilityGrid(
-        omega_axis=omega_axis, wob_axis=wob_axis, stable=p < percentile,
-        p_unstable=p,
-        source="mixture:" + "+".join(f"m{k}x{w!r}"
-                                     for (k, _), w in zip(components, weights)))
+    grid = StabilityGrid(omega_axis=omega_axis, wob_axis=wob_axis,
+                         stable=p < percentile, p_unstable=p)
     return grid, curve
 
 
@@ -319,8 +309,7 @@ def boundary_separation(a: BoundaryCurve, b: BoundaryCurve,
                         cell_sizes: tuple[float, float]) -> float:
     """Worst-case distance between two boundary curves, in grid cells.
 
-    Curves are split into contiguous pieces (gaps wider than 1.5 columns
-    break a piece, e.g. where a boundary leaves the window and re-enters).
+    Curves are split into their ``BoundaryCurve.pieces``.
     Each piece's interior points are measured against the other curve's
     full polylines; piece end points are skipped because they carry
     window-clipping truncation, not boundary information. Points outside
@@ -333,11 +322,6 @@ def boundary_separation(a: BoundaryCurve, b: BoundaryCurve,
     cell = np.asarray(cell_sizes, dtype=float)
     lo = max(a.points[:, 0].min(), b.points[:, 0].min())
     hi = min(a.points[:, 0].max(), b.points[:, 0].max())
-
-    def pieces(curve):
-        pts = curve.points[np.argsort(curve.points[:, 0], kind="stable")] / cell
-        gaps = np.flatnonzero(np.diff(pts[:, 0]) > 1.5)
-        return np.split(pts, gaps + 1)
 
     def point_to_polyline(p, qs):
         best = math.inf
@@ -365,7 +349,7 @@ def boundary_separation(a: BoundaryCurve, b: BoundaryCurve,
                 worst = max(worst, point_to_polyline(p, qs))
         return worst
 
-    pa, pb = pieces(a), pieces(b)
+    pa, pb = ([piece / cell for piece in c.pieces(cell[0])] for c in (a, b))
     return max(one_way(pa, pb), one_way(pb, pa))
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
            "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f")
@@ -77,10 +76,11 @@ def render(series: list[Series], xlabel: str, ylabel: str, title: str = "",
         xs, ys = [0.0, 1.0], [0.0, 1.0]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
+    # open a zero-width range by 1, or by |lo| where 1 is below float spacing
     if x_hi == x_lo:
-        x_hi = x_lo + 1.0
+        x_hi = x_lo + 1.0 if x_lo + 1.0 != x_lo else x_lo + abs(x_lo)
     if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+        y_hi = y_lo + 1.0 if y_lo + 1.0 != y_lo else y_lo + abs(y_lo)
     pad_x = 0.03 * (x_hi - x_lo)
     pad_y = 0.05 * (y_hi - y_lo)
     x_lo, x_hi = x_lo - pad_x, x_hi + pad_x
@@ -160,11 +160,3 @@ def render(series: list[Series], xlabel: str, ylabel: str, title: str = "",
         ly += 16
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def write(path, series: list[Series], xlabel: str, ylabel: str,
-          title: str = "", bands: list[FillBand] | None = None) -> Path:
-    path = Path(path)
-    path.write_text(render(series, xlabel, ylabel, title, bands),
-                    encoding="utf-8")
-    return path

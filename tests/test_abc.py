@@ -108,7 +108,9 @@ class TestPriors:
                        {k: REFERENCE_PARAMS[k] for k in MODEL_KINDS})
         priors = abc.build_priors(fits, 0.4)
         for k in MODEL_KINDS:
-            assert priors[k].contains(np.array(fits[k].model.params))
+            center = np.array(fits[k].model.params)
+            assert np.array_equal(priors[k].center, center)
+            assert (priors[k].lo <= center).all() and (center <= priors[k].hi).all()
 
 
 class TestRun:
@@ -145,9 +147,10 @@ class TestRun:
         speeds = m3_dataset.calibration_speeds
         y = m3_dataset.calibration_torques
         for i in range(0, len(pop), 25):
-            p = pop[i]
-            rho = metric_arrays(p.kind, p.phi, 1.0, speeds, y)
-            assert rho == pytest.approx(p.distance, rel=1e-12)
+            kind = int(pop.kinds[i])
+            phi = pop.phis[i, :PARAM_COUNTS[kind]]
+            rho = metric_arrays(kind, phi, 1.0, speeds, y)
+            assert rho == pytest.approx(pop.distances[i], rel=1e-12)
 
     def test_deterministic_under_seed_and_threads(self, m3_dataset,
                                                   reference_priors):

@@ -4,7 +4,7 @@ import pytest
 from drillstab.bitrock import BitRockModel
 from drillstab.calibration import default_bounds, fit, fit_all, metric
 from drillstab.dataio import TorqueDataset, synthesize
-from drillstab.errors import DataError, DomainError
+from drillstab.errors import DataError, DomainError, NumericError
 from drillstab.reference import REFERENCE_PARAMS
 
 
@@ -100,6 +100,21 @@ class TestFit:
                   max_evals=25)
         assert not res.converged
         assert res.metric_value >= 0.0
+
+    def test_non_finite_misfit_at_initial_point_raises(self, m2_noiseless):
+        # at r = 1e300 the law's squared residuals overflow
+        with pytest.raises(NumericError, match="initial point"):
+            fit(m2_noiseless, 2, 1e300, REFERENCE_PARAMS[2])
+
+    def test_overflowing_jittered_start_falls_back_to_initial(self, r1,
+                                                              m2_noiseless):
+        # jitter 1e300 scales each drawn start beyond where the misfit is
+        # finite, so every start is the initial point
+        one = fit(m2_noiseless, 2, r1, REFERENCE_PARAMS[2])
+        three = fit(m2_noiseless, 2, r1, REFERENCE_PARAMS[2], n_starts=3,
+                    jitter=1e300)
+        assert three.model == one.model
+        assert three.iterations == 3 * one.iterations
 
     def test_invalid_initial_rejected(self, r1, m2_noiseless):
         with pytest.raises(DomainError):

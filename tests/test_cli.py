@@ -14,7 +14,7 @@ from drillstab import abc as abc_mod
 from drillstab import cli, stability
 from drillstab.dataio import read_csv
 from drillstab.errors import StallError
-from drillstab.reference import REFERENCE_PARAMS
+from drillstab.reference import REFERENCE_PARAMS, W_REF_KN
 
 
 def run_cli(*args):
@@ -119,6 +119,39 @@ class TestFit:
         data.write_text("speed,torque_knm,split\n"
                         "1.0,10.0,calibration\n2.0,9.0,calibration\n")
         assert run_cli("fit", "--out-dir", tmp_path / "o", "--data", data) == 4
+
+    @pytest.mark.parametrize("jitter", ["nan", "inf", "-0.1", "1e308"])
+    def test_bad_jitter_exits_2(self, dataset_dir, tmp_path, capsys, jitter):
+        assert run_cli("fit", "--out-dir", tmp_path, "--data",
+                       dataset_dir / "dataset.csv", "--models", "m2",
+                       "--starts", "2", f"--jitter={jitter}") == 2
+        assert "jitter" in capsys.readouterr().err
+        assert not (tmp_path / "fit_report.json").exists()
+
+    def test_zero_jitter_still_fits(self, dataset_dir, tmp_path):
+        # every start is then the initial point, so the fit is the one-start fit
+        params = {}
+        for starts, jitter in (("1", "0.2"), ("2", "0")):
+            out = tmp_path / starts
+            assert run_cli("fit", "--out-dir", out, "--data",
+                           dataset_dir / "dataset.csv", "--models", "m2",
+                           "--starts", starts, "--jitter", jitter) == 0
+            report = json.loads((out / "fit_report.json").read_text())
+            params[starts] = report["m2"]["params"]
+        assert params["1"] == params["2"]
+
+
+@pytest.mark.parametrize("command", [
+    ["fit", "--models", "m2"],
+    # reference centers skip the fits, so abc.run meets the torques itself
+    ["abc", "--prior-centers", "reference", "--n", "40", "--no-svg"],
+])
+def test_all_zero_calibration_torques_exit_4(tmp_path, capsys, command):
+    data = tmp_path / "flat.csv"
+    data.write_text("speed,torque_knm,split\n"
+                    + "".join(f"{s}.0,0.0,calibration\n" for s in range(1, 5)))
+    assert run_cli(*command, "--out-dir", tmp_path / "o", "--data", data) == 4
+    assert "all zero" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -279,6 +312,8 @@ class TestMap:
         ("stochastic", "--percentile=1.5", "percentile"),
         ("mixture", "--weights=nan,nan", "weights"),
         ("mixture", "--weights=1,nan", "weights"),
+        ("stochastic", "--omega-max=inf", "omega range"),
+        ("mixture", "--wob-max=inf", "wob range"),
     ])
     def test_out_of_range_map_value_exits_2(self, abc_dir, tmp_path, capsys,
                                             mode, value, fragment):
@@ -360,6 +395,37 @@ class TestMap:
                        *bundle, *extra) == 2
         assert extra[0] in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("one_end", [["--wob-min", "60"],
+                                         ["--wob-max", "600"]])
+    def test_one_wob_end_defaults_the_other(self, tmp_path, one_end):
+        low, high = (f * W_REF_KN for f in stability.DEFAULT_WOB_FRACTIONS)
+        window = dict(zip(["--wob-min", "--wob-max"], [low, high]),
+                      **{one_end[0]: float(one_end[1])})
+        full = [f"{flag}={value!r}" for flag, value in window.items()]
+        for name, extra in (("one", one_end), ("full", full)):
+            assert run_cli("map", "--out-dir", tmp_path / name, "--models",
+                           "m2,m3", "--resolution", "8", *extra) == 0
+        one = read_outputs(tmp_path / "one")
+        assert one and one == read_outputs(tmp_path / "full")
+        rows = (tmp_path / "one/map_m2_grid.csv").read_text().splitlines()
+        wob = [float(row.split(",")[2]) for row in rows[1:]]    # wob_kn
+        assert (min(wob), max(wob)) == tuple(window.values())
+
+    def test_reentering_boundary_draws_two_polylines(self, tmp_path,
+                                                     monkeypatch):
+        real = cli.map_deterministic
+
+        def reentering(*args, **kwargs):
+            grid, _ = real(*args, **kwargs)
+            pts = np.column_stack([grid.omega_axis[[0, 1, 2, 5, 6]],
+                                   np.full(5, 300.0)])
+            return grid, stability.BoundaryCurve(points=pts)
+        monkeypatch.setattr(cli, "map_deterministic", reentering)
+        assert run_cli("map", "--out-dir", tmp_path, "--models", "m2",
+                       "--resolution", "8") == 0
+        svg = (tmp_path / "map_boundaries.svg").read_text()
+        assert svg.count("<polyline") == 2
 
     def test_missing_abc_state_exits_2(self, tmp_path):
         assert run_cli("map", "--out-dir", tmp_path, "--mode",
@@ -509,7 +575,8 @@ def test_cli_import_leaves_out_scipy_stats():
 
 
 @pytest.mark.parametrize("argv", [[], ["nope"], ["map", "--resolution", "x"],
-                                  ["fem-modes", "--out-dir"]])
+                                  ["fem-modes", "--out-dir"],
+                                  ["fem-modes", "--out-dir=o", "--seed=-1"]])
 def test_bad_argv_returns_2(argv):
     assert cli.main(argv) == 2
 
@@ -547,7 +614,7 @@ def _option_values(action):
         values = st.booleans()
     elif action.type is int:
         values = st.integers(-10**6, 10**6)
-    elif action.type is cli._threads:
+    elif action.type is cli._nonnegative_int:
         values = st.integers(0, 64)
     elif action.type is float:
         values = _NUMBERS
@@ -584,3 +651,116 @@ def test_manifest_config_replays_to_the_same_config(command, data):
     replayed = vars(cli.build_parser().parse_args(cli._argv(command, config)))
     assert replayed.pop("command") == command
     assert cli._recorded(replayed) == config
+
+
+# ------------------------------------------------------------ option sweep
+
+_SWEEP_FLOATS = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300"]
+# small on purpose: --threads, --n, --resolution, --n-dp and --n-bha size
+# threads and arrays
+_SWEEP_INTS = ["0", "-1", "1", "2"]
+_SWEEP_TEXT = ["", ",", "x", "nan,nan,nan", "0,0,0,0"]
+_EXIT_CODES = (0, 2, 3, 4)
+
+
+def _sweep_values(action) -> list:
+    """The values the sweep gives one option; True means the bare flag."""
+    if action.choices is not None:
+        return list(action.choices)
+    if action.nargs == 0:
+        return [True]
+    if action.type is float:
+        return _SWEEP_FLOATS
+    if action.type in (int, cli._nonnegative_int):
+        return _SWEEP_INTS
+    return _SWEEP_TEXT
+
+
+def _sweep_call(command: str, options: dict, bad: list) -> None:
+    """Run one command line; record it in ``bad`` unless it exits with a
+    documented code."""
+    argv = [command] + [f"--{key}" if value is True else f"--{key}={value}"
+                        for key, value in options.items()]
+    try:
+        code = run_cli(*argv)
+    except Exception as exc:    # a traceback: record it, keep sweeping
+        code = repr(exc)
+    if code not in _EXIT_CODES:
+        bad.append((argv, code))
+
+
+@pytest.fixture(scope="module")
+def sweep_inputs(tmp_path_factory):
+    """A 12-row dataset, a gen-data manifest, and a 40-particle bundle whose
+    model prior leaves m1 without particles."""
+    root = tmp_path_factory.mktemp("sweep")
+    assert run_cli("gen-data", "--out-dir", root / "gen", "--model", "m3",
+                   "--n", "12") == 0
+    assert run_cli("abc", "--out-dir", root / "abc", "--data",
+                   root / "gen/dataset.csv", "--n", "40",
+                   "--max-populations", "2", "--prior-centers", "reference",
+                   "--model-prior=0,1,1,1", "--threads", "1", "--no-svg") == 0
+    return root
+
+
+def test_option_sweep_exits_with_a_documented_code(sweep_inputs, tmp_path,
+                                                   monkeypatch):
+    """Every option of every command, one at a time, at degenerate values,
+    ends in a documented exit code, not a traceback."""
+    monkeypatch.chdir(tmp_path)     # relative --out-dir values land here
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)     # --threads 0
+    data = str(sweep_inputs / "gen/dataset.csv")
+    bundle = str(sweep_inputs / "abc/abc_state")
+    bases = [
+        ("gen-data", {"model": "m3", "n": 12}),
+        ("fit", {"data": data, "models": "m2"}),
+        ("abc", {"data": data, "n": 40, "max-populations": 2,
+                 "prior-centers": "reference", "threads": 1}),
+        ("map", {"resolution": 3}),
+        ("map", {"mode": "mixture", "abc-state": bundle, "models": "m2,m3",
+                 "min-particles": 1, "resolution": 3}),
+        ("fem-modes", {}),
+        ("replay", {"manifest": str(sweep_inputs / "gen/manifest.json")}),
+    ]
+    parsers = cli.build_parser()._subparsers._group_actions[0].choices
+    bad, calls = [], 0
+    for command, base in bases:
+        base = {"out-dir": "out", **base}
+        for action in parsers[command]._actions:
+            if action.dest == "help":
+                continue
+            key = action.option_strings[0][2:]
+            for value in _sweep_values(action):
+                _sweep_call(command, {**base, key: value}, bad)
+                calls += 1
+    # the options that act together
+    for starts in _SWEEP_INTS:
+        for jitter in _SWEEP_FLOATS:
+            _sweep_call("fit", {"out-dir": "out", "data": data, "models": "m2",
+                                "starts": starts, "jitter": jitter}, bad)
+            calls += 1
+    assert calls > 250
+    assert not bad, "\n".join(f"{code}: {' '.join(argv)}" for argv, code in bad)
+
+
+@pytest.mark.parametrize("mode", ["stochastic", "mixture"])
+@pytest.mark.parametrize("models", ["m1", "m3", "m1,m3"])
+@pytest.mark.parametrize("min_particles", [-1, 0, 1, 41])
+def test_min_particles_against_the_mapped_population(sweep_inputs, tmp_path,
+                                                     capsys, mode, models,
+                                                     min_particles):
+    """Below 1 exits 2. A mapped model with fewer particles than asked exits
+    4 and names the model and the population: in population 2 of the bundle
+    m1 has none, and no model has 41 of the 40."""
+    code = run_cli("map", "--out-dir", tmp_path, "--mode", mode, "--abc-state",
+                   sweep_inputs / "abc/abc_state", "--models", models,
+                   f"--min-particles={min_particles}", "--resolution", "3")
+    err = capsys.readouterr().err
+    if min_particles < 1:
+        assert code == 2 and "--min-particles" in err
+    elif min_particles == 41 or "m1" in models:
+        assert code == 4
+        assert f"model {models[:2]} has" in err and "population 2" in err
+    else:
+        assert code == 0
+    assert (tmp_path / "manifest.json").exists() == (code == 0)

@@ -48,6 +48,15 @@ def test_two_calibration_rows_read_ok_but_fit_rejected(tmp_path, m2, r1):
         metric(ds, m2, r1)         # the invariant bites at the use site
 
 
+def test_all_zero_calibration_torques_rejected():
+    # nonzero validation torques do not rescue the calibration subset
+    ds = TorqueDataset(speeds=np.arange(1.0, 7.0),
+                       torques=np.array([0.0, 3.0, 0.0, 3.0, 0.0, 3.0]),
+                       split=np.array(["calibration", "validation"] * 3))
+    with pytest.raises(DataError, match="all zero"):
+        ds.require_calibration()
+
+
 @pytest.mark.parametrize("body,fragment", [
     ("speed,torque_knm\n1.0,abc\n", "line 2"),
     ("speed,torque_knm\n-1.0,5.0\n", "line 2"),
@@ -65,6 +74,15 @@ def test_ingestion_errors_name_the_line(tmp_path, body, fragment):
 def test_missing_file():
     with pytest.raises(IngestionError):
         read_csv("/nonexistent/data.csv")
+
+
+def test_directory_or_binary_file_is_an_ingestion_error(tmp_path):
+    with pytest.raises(IngestionError, match="cannot read"):
+        read_csv(tmp_path)
+    binary = tmp_path / "data.csv"
+    binary.write_bytes(b"speed,torque_knm\n\xff\xfe\n")
+    with pytest.raises(IngestionError, match="cannot read"):
+        read_csv(binary)
 
 
 def test_round_trip_bit_exact(tmp_path):

@@ -131,7 +131,7 @@ def test_grid_with_and_without_probability(tmp_path, with_p):
     rng = np.random.default_rng(3)
     p = rng.choice(SPECIAL, size=(len(omega), len(wob)))
     grid = StabilityGrid(omega_axis=omega, wob_axis=wob, stable=p < 0.5,
-                         p_unstable=p if with_p else None, source="crafted")
+                         p_unstable=p if with_p else None)
     written = grid_to_csv(grid, tmp_path / "grid.csv", 244.2).read_bytes()
     assert written == ref_grid(grid, 244.2)
     assert written.split(b"\n")[0].endswith(b",p_unstable") == with_p

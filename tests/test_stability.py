@@ -287,7 +287,6 @@ class TestDeterministicMap:
         grid, _ = map_deterministic(m2, plant, W_REF_KN, resolution=(12, 9))
         assert grid.stable.shape == (12, 9)
         assert grid.p_unstable is None
-        assert grid.source == "deterministic:m2"
 
     def test_resolution_validation(self, m2, plant):
         with pytest.raises(DomainError):
@@ -342,8 +341,7 @@ class TestStochasticMap:
 
     def test_requires_enough_particles(self, plant):
         with pytest.raises(InsufficientSamplesError):
-            map_stochastic(2, np.tile(REFERENCE_PARAMS[2], (10, 1)), plant,
-                           W_REF_KN)
+            map_stochastic(2, np.empty((0, 3)), plant, W_REF_KN)
 
     def test_probability_field_recorded(self, plant, m2_cloud):
         grid, _ = map_stochastic(2, m2_cloud, plant, W_REF_KN,
@@ -454,6 +452,24 @@ class TestBoundarySeparation:
         a = BoundaryCurve(points=np.empty((0, 2)))
         b = BoundaryCurve(points=np.array([[1.0, 1.0]]))
         assert boundary_separation(a, b, (1, 1)) == math.inf
+
+
+class TestBoundaryPieces:
+    def test_reentering_curve_gives_two_sorted_pieces(self):
+        # columns 0-2 and 5-6 of a unit-step grid, listed out of order
+        pts = np.array([[5.0, 1.0], [0.0, 2.0], [6.0, 3.0], [1.0, 4.0],
+                        [2.0, 5.0]])
+        pieces = BoundaryCurve(points=pts).pieces(1.0)
+        assert len(pieces) == 2
+        assert np.array_equal(pieces[0], pts[[1, 3, 4]])
+        assert np.array_equal(pieces[1], pts[[0, 2]])
+
+    def test_split_only_beyond_one_and_a_half_steps(self):
+        pts = np.array([[0.0, 1.0], [1.0, 2.0], [1.0, 3.0], [2.5, 4.0]])
+        pieces = BoundaryCurve(points=pts).pieces(1.0)
+        # a jump of exactly 1.5 steps stays inside; equal Omegas keep order
+        assert len(pieces) == 1 and np.array_equal(pieces[0], pts)
+        assert len(BoundaryCurve(points=pts).pieces(0.99)) == 2
 
 
 class TestExports:
