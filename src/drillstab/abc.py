@@ -21,6 +21,21 @@ drawn again. A population is a function of the stream alone, so serial and
 thread-parallel runs produce bit-identical populations. A population's
 ``attempts`` is the stream position of its n-th acceptance plus one: the
 proposals drawn up to it, counted from the start of the stream.
+
+Two shortcuts skip work that no output sees, and change no bit of it:
+
+* Below a finite tolerance a chunk is first evaluated at every other
+  calibration speed. That partial sum of squares is a lower bound on the
+  full one, so a row whose partial sum is not below eps * |y|^2 * (1 + 1e-9)
+  is dropped. The 1e-9 margin dwarfs the ~1e-14 relative rounding of the two
+  sums, so no row the full distance accepts is dropped, and a NaN partial
+  sum is dropped as a NaN distance is rejected. The surviving rows get the
+  full distance by the same expression as before.
+* Population g+1 opens with population g's particles below eps_{g+1}, in
+  order, so ``save_state`` reuses their CSV rows instead of formatting them
+  again. It does so only when those leading rows equal the carried ones bit
+  for bit (-0.0 and 0.0 are equal values with different reprs); any other
+  population, such as one built outside the sampler, is formatted in full.
 """
 
 from __future__ import annotations
@@ -46,6 +61,7 @@ MAX_PARAMS = max(PARAM_COUNTS.values())
 DEFAULT_EPS_FLOOR = 0.014
 ENVELOPE_MIN_PARTICLES = 50
 _CHUNK = 8192
+_BOUND_MARGIN = 1e-9
 _ENVELOPE_BLOCK = 16
 
 
@@ -173,8 +189,15 @@ def _propose_chunk(seed: int, chunk_index: int, chunk: int, eps: float,
     dists = np.full(chunk, np.inf)
     for kind, prior in priors.items():
         rows = np.flatnonzero(kinds == kind)
+        phi = prior.sample_from_unit(u[rows, 1:1 + PARAM_COUNTS[kind]])
+        if eps < math.inf and len(rows):
+            # the misfit at every other speed bounds the full one from below;
+            # written so that a NaN partial sum drops its row too
+            half = y[None, ::2] - torque_batch(kind, phi, r, speeds[::2])
+            live = (np.einsum("ij,ij->i", half, half)
+                    < eps * ynorm * (1 + _BOUND_MARGIN))
+            rows, phi = rows[live], phi[live]
         if len(rows):
-            phi = prior.sample_from_unit(u[rows, 1:1 + PARAM_COUNTS[kind]])
             resid = y[None, :] - torque_batch(kind, phi, r, speeds)
             dists[rows] = np.einsum("ij,ij->i", resid, resid) / ynorm
     keep = np.flatnonzero(dists < eps)
@@ -372,17 +395,48 @@ def predictive_envelope(state: AbcState, g: int, kind: int, speeds,
     return tuple(np.concatenate(blocks, axis=1))
 
 
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def _carried_rows(prev: Population | None, pop: Population) -> list[int]:
+    """The rows of ``prev`` below pop's tolerance, in order, when ``pop``
+    opens with exactly them, as one proposal stream carries them over;
+    otherwise none. Compared as bits, since -0.0 == 0.0 but their reprs
+    differ."""
+    if prev is None:
+        return []
+    idx = np.flatnonzero(prev.distances < pop.tolerance)
+    m = len(idx)
+    same = (m <= len(pop) and prev.kinds.dtype == pop.kinds.dtype
+            and np.array_equal(prev.kinds[idx], pop.kinds[:m])
+            and np.array_equal(_bits(prev.distances[idx]), _bits(pop.distances[:m]))
+            and np.array_equal(_bits(prev.phis[idx]), _bits(pop.phis[:m])))
+    return idx.tolist() if same else []
+
+
+def _format_rows(pop: Population, start: int) -> list[str]:
+    """The CSV rows of ``pop`` from row ``start`` on. The NaN padding past a
+    model's parameter count is an empty cell."""
+    # a generator per column: each cell lives only until its row is joined
+    phis = [("" if c == "nan" else c for c in map(repr, col.tolist()))
+            for col in pop.phis[start:].T]
+    return list(map(",".join, zip(map(repr, pop.kinds[start:].tolist()), *phis,
+                                  map(repr, pop.distances[start:].tolist()))))
+
+
 def save_state(state: AbcState, directory) -> Path:
     """Serialize to a CSV bundle plus a JSON manifest; returns the dir."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    header = ["model_tag", *(f"phi{j}" for j in range(MAX_PARAMS)), "distance"]
+    header = ",".join(["model_tag", *(f"phi{j}" for j in range(MAX_PARAMS)),
+                       "distance"])
+    prev, prev_rows = None, []
     for g, pop in enumerate(state.populations, start=1):
-        # the NaN padding past a model's parameter count is an empty cell
-        phis = [["" if c == "nan" else c for c in map(repr, col.tolist())]
-                for col in pop.phis.T]
-        write_table(directory / f"population_{g:02d}.csv", header,
-                    [pop.kinds, *phis, pop.distances])
+        rows = [prev_rows[i] for i in _carried_rows(prev, pop)]
+        rows += _format_rows(pop, len(rows))
+        write_table(directory / f"population_{g:02d}.csv", [header], [rows])
+        prev, prev_rows = pop, rows
     manifest = {
         "n": state.n,
         "seed": state.seed,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -300,8 +301,6 @@ def run_map(config: dict) -> list[str]:
         if config["abc_state"] is None:
             raise ConfigError(f"--abc-state is required for mode {mode}")
         pct, min_particles = config["percentile"], config["min_particles"]
-        if min_particles < 1:
-            raise ConfigError(f"--min-particles must be >= 1, got {min_particles}")
         g, pop = abc_mod.load_population(config["abc_state"],
                                          config["population"])
         sets = []
@@ -433,17 +432,29 @@ def _add_data(p: argparse.ArgumentParser) -> None:
 
 
 def _add_fem_plant(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n-dp", type=int, default=1)
-    p.add_argument("--n-bha", type=int, default=1)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--beta", type=float, default=0.006)
+    p.add_argument("--n-dp", type=_positive_int, default=1)
+    p.add_argument("--n-bha", type=_positive_int, default=1)
+    p.add_argument("--alpha", type=_nonnegative_float, default=0.5)
+    p.add_argument("--beta", type=_nonnegative_float, default=0.006)
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _checked(parse, ok, rule: str):
+    """An argparse ``type``: ``parse`` the text, then reject a value that
+    fails ``ok`` (written so that NaN fails it)."""
+    def check(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+    check.__name__ = parse.__name__     # argparse names it in "invalid ... value"
+    return check
+
+
+_nonnegative_int = _checked(int, lambda v: v >= 0, ">= 0")
+_positive_int = _checked(int, lambda v: v >= 1, ">= 1")
+_fraction = _checked(float, lambda v: 0 <= v <= 1, "in [0, 1]")
+_nonnegative_float = _checked(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
+_positive_float = _checked(float, lambda v: 0 < v < math.inf, "finite and > 0")
 
 
 def _file_name(text: str) -> str:
@@ -481,20 +492,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="initial parameters (single model only); default "
                         "reference estimates")
     p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--starts", type=int, default=1)
+    p.add_argument("--starts", type=_positive_int, default=1)
     p.add_argument("--jitter", type=float, default=0.2)
 
     p = _add_command(sub, "abc", "ABC rejection run with model selection")
     _add_data(p)
     p.add_argument("--delta", type=float, default=0.4)
     p.add_argument("--n", type=int, default=25_000)
-    p.add_argument("--eps-floor", type=float, default=abc_mod.DEFAULT_EPS_FLOOR)
+    p.add_argument("--eps-floor", type=_positive_float,
+                   default=abc_mod.DEFAULT_EPS_FLOOR)
     p.add_argument("--max-populations", type=int, default=20)
     p.add_argument("--model-prior",
                    help="four comma-separated probabilities (default uniform)")
     p.add_argument("--prior-centers", choices=("fit", "reference"), default="fit")
     p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--starts", type=int, default=3,
+    p.add_argument("--starts", type=_positive_int, default=3,
                    help="multi-starts for the internal LS fits")
     p.add_argument("--threads", type=_nonnegative_int,
                    help="default or 0: available parallelism; 1 forces serial")
@@ -513,10 +525,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="abc_state directory (stochastic/mixture modes)")
     p.add_argument("--population", type=int,
                    help="population index to draw particles from (default last)")
-    p.add_argument("--percentile", type=float, default=0.02)
+    p.add_argument("--percentile", type=_fraction, default=0.02)
     p.add_argument("--weights",
                    help="mixture weights (default: posterior frequencies)")
-    p.add_argument("--min-particles", type=int, default=100)
+    p.add_argument("--min-particles", type=_positive_int, default=100)
     p.add_argument("--w-ref", type=float, default=W_REF_KN)
     p.add_argument("--i-eq", type=float, default=REFERENCE_INERTIA)
     p.add_argument("--omega-n", type=float, default=REFERENCE_OMEGA_N)

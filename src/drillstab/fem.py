@@ -125,8 +125,10 @@ def assemble(geometry: DrillStringGeometry, n_dp: int = 1, n_bha: int = 1,
     """
     if n_dp < 1 or n_bha < 1:
         raise DomainError("need at least one element per section")
-    if alpha < 0 or beta < 0:
-        raise DomainError("proportional damping coefficients must be >= 0")
+    # written so that NaN fails the test
+    if not (0 <= alpha < math.inf and 0 <= beta < math.inf):
+        raise DomainError("proportional damping coefficients must be finite "
+                          f"and >= 0, got alpha={alpha}, beta={beta}")
     n = n_dp + n_bha
     mass = np.zeros((n + 1, n + 1))
     stiff = np.zeros((n + 1, n + 1))
@@ -139,7 +141,11 @@ def assemble(geometry: DrillStringGeometry, n_dp: int = 1, n_bha: int = 1,
         stiff[e:e + 2, e:e + 2] += k_el
     mass = mass[1:, 1:]
     stiff = stiff[1:, 1:]
-    damping = alpha * mass + beta * stiff
+    with np.errstate(over="ignore"):
+        damping = alpha * mass + beta * stiff
+    if not np.isfinite(damping).all():
+        raise DomainError(f"damping alpha*M + beta*K overflows at alpha={alpha}, "
+                          f"beta={beta}")
     return FemTorsionalModel(n_dp=n_dp, n_bha=n_bha, mass=mass,
                              stiffness=stiff, damping=damping,
                              alpha=alpha, beta=beta, geometry=geometry)

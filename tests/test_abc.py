@@ -36,16 +36,30 @@ def accept_all(m3_dataset, reference_priors):
                    max_populations=1, seed=5)
 
 
-def proposal_stream(dataset, priors, seed, chunks):
-    """The first chunks of the proposal stream, each drawn with eps = inf
-    and concatenated: (positions, kinds, phis, distances)."""
+def propose(dataset, priors, seed, chunk_index, eps):
+    """One chunk of the proposal stream under uniform model weights."""
     _, cum_prior = abc._normalize_model_prior((0.25, 0.25, 0.25, 0.25))
     y = dataset.calibration_torques
-    parts = [abc._propose_chunk(seed, c, abc._CHUNK, math.inf, cum_prior,
-                                priors, dataset.calibration_speeds, y,
-                                float(np.dot(y, y)), 1.0)
-             for c in range(chunks)]
+    return abc._propose_chunk(seed, chunk_index, abc._CHUNK, eps, cum_prior,
+                              priors, dataset.calibration_speeds, y,
+                              float(np.dot(y, y)), 1.0)
+
+
+def proposal_stream(dataset, priors, seed, chunks):
+    """The first chunks of the proposal stream, each drawn with eps = inf,
+    so every distance is computed in full, and concatenated: (positions,
+    kinds, phis, distances)."""
+    parts = [propose(dataset, priors, seed, c, math.inf) for c in range(chunks)]
     return tuple(np.concatenate(cols) for cols in zip(*parts))
+
+
+def assert_rows_bit_equal(got, want):
+    """Equal (positions, kinds, phis, distances), floats compared as bits."""
+    assert len(got) == len(want) == 4
+    for a, b in zip(got, want):
+        if a.dtype.kind == "f":
+            a, b = a.view(np.int64), b.view(np.int64)
+        assert np.array_equal(a, b)
 
 
 def stream_population(stream, eps, n):
@@ -239,6 +253,51 @@ class TestRun:
                 for j in range(PARAM_COUNTS[kind]):
                     assert ks_2samp(reused[:, j], fresh[:, j]).pvalue > 1e-3
 
+    def test_bounded_chunk_equals_the_filtered_full_chunk(self, m3_dataset,
+                                                          reference_priors):
+        """Below a finite eps the chunk is first bounded at every other
+        speed; it must keep exactly the rows of the full evaluation below
+        eps, bit for bit, also at eps equal to a distance and one ulp
+        either side of it."""
+        full = propose(m3_dataset, reference_priors, 7, 3, math.inf)
+        d = np.sort(full[3])
+        assert len(d) == abc._CHUNK
+        for pivot in (d[0], d[1], d[40], d[len(d) // 2], d[-1]):
+            for eps in (np.nextafter(pivot, 0.0), pivot,
+                        np.nextafter(pivot, math.inf)):
+                keep = full[3] < eps
+                got = propose(m3_dataset, reference_priors, 7, 3, float(eps))
+                assert_rows_bit_equal(got, tuple(col[keep] for col in full))
+
+    def test_bounded_chunk_rejects_overflowing_torques(self, m3_dataset,
+                                                       reference_priors):
+        # m2's t_sb - t_cb overflows to inf and exp(-g_b s) underflows to 0,
+        # so some torques are NaN; m4's c3 s^3 makes the squares overflow
+        priors = dict(reference_priors)
+        priors[2] = abc.PriorSpec.from_center(2, (1e308, -1e308, 100.0), 0.4)
+        priors[4] = abc.PriorSpec.from_center(4, (11.8, -0.93, 0.057, 1e200),
+                                              0.4)
+        y = m3_dataset.calibration_torques
+        rng = np.random.default_rng(0)
+        nan_seen = False
+        for kind in (2, 4):
+            phi = priors[kind].sample_from_unit(
+                rng.random((200, PARAM_COUNTS[kind])))
+            with np.errstate(all="ignore"):
+                resid = y - torque_batch(kind, phi, 1.0,
+                                         m3_dataset.calibration_speeds)
+                d = np.einsum("ij,ij->i", resid, resid)
+            assert not np.isfinite(d).any()
+            nan_seen |= bool(np.isnan(d).any())
+        assert nan_seen
+        full = propose(m3_dataset, priors, 8, 0, math.inf)
+        assert set(full[1].tolist()) == {1, 3}
+        assert len(full[0]) < 0.6 * abc._CHUNK
+        for eps in (float(np.median(full[3])), 1e300, 1.7e308):
+            keep = full[3] < eps
+            got = propose(m3_dataset, priors, 8, 0, eps)
+            assert_rows_bit_equal(got, tuple(col[keep] for col in full))
+
     def test_missing_priors_rejected(self, m3_dataset, reference_priors):
         partial = {k: v for k, v in reference_priors.items() if k != 3}
         with pytest.raises(DomainError, match="missing"):
@@ -380,6 +439,19 @@ class TestPredictiveEnvelope:
         assert covered >= 0.90
 
 
+@pytest.fixture
+def formatted_rows(monkeypatch):
+    """The number of rows ``save_state`` formats, per population written."""
+    counts = []
+    real = abc._format_rows
+
+    def counted(pop, start):
+        counts.append(len(pop) - start)
+        return real(pop, start)
+    monkeypatch.setattr(abc, "_format_rows", counted)
+    return counts
+
+
 class TestSerialization:
     def test_round_trip(self, small_state, tmp_path):
         abc.save_state(small_state, tmp_path / "bundle")
@@ -425,6 +497,60 @@ class TestSerialization:
             for g, pop in enumerate(st.populations, start=1):
                 written = (bundle / f"population_{g:02d}.csv").read_bytes()
                 assert written == per_cell_population_csv(pop).encode("utf-8")
+
+    @staticmethod
+    def carried_state(state, case):
+        """Population 1 of ``state``, then a population 2 at the median
+        tolerance: population 1's rows below it, in order, then the rest of
+        ``state``'s population 2. ``case`` flips one carried phi or one
+        carried distance between 0.0 and -0.0, or shuffles the carried rows."""
+        first = state.populations[0]
+        phis, dists = first.phis.copy(), first.distances.copy()
+        tol = float(np.median(dists))
+        idx = np.flatnonzero(dists < tol)
+        phis[idx[3], 0] = 0.0
+        dists[idx[5]] = -0.0
+        first = abc.Population(kinds=first.kinds, phis=phis, distances=dists,
+                               tolerance=math.inf, attempts=first.attempts)
+        if case == "shuffled":
+            idx = np.random.default_rng(0).permutation(idx)
+        tail = state.populations[1]
+        second = abc.Population(
+            kinds=np.concatenate([first.kinds[idx], tail.kinds[len(idx):]]),
+            phis=np.concatenate([phis[idx], tail.phis[len(idx):]]),
+            distances=np.concatenate([dists[idx], tail.distances[len(idx):]]),
+            tolerance=tol, attempts=first.attempts + 1)
+        if case == "phi":
+            second.phis[3, 0] = -0.0
+        elif case == "distance":
+            second.distances[5] = 0.0
+        return abc.AbcState(populations=[first, second],
+                            tolerances=[math.inf, tol], next_tolerance=tol / 2,
+                            stopped_by="max_populations", n=state.n, seed=0,
+                            eps_floor=0.014, model_prior=(0.25,) * 4,
+                            priors=state.priors), len(idx)
+
+    @pytest.mark.parametrize("case", ["carried", "phi", "distance", "shuffled"])
+    def test_writer_reuses_only_a_bit_equal_carried_prefix(
+            self, small_state, tmp_path, formatted_rows, case):
+        """Reused rows must be the rows a per-cell write gives; a sign flip
+        of a zero, or a reordering, makes the writer format every row."""
+        state, m = self.carried_state(small_state, case)
+        bundle = abc.save_state(state, tmp_path / case)
+        for g, pop in enumerate(state.populations, start=1):
+            written = (bundle / f"population_{g:02d}.csv").read_bytes()
+            assert written == per_cell_population_csv(pop).encode("utf-8")
+        n = state.n
+        assert 0 < m < n
+        assert formatted_rows == [n, n - m if case == "carried" else n]
+
+    def test_sampled_bundle_reuses_carried_rows(self, small_state, tmp_path,
+                                                formatted_rows):
+        abc.save_state(small_state, tmp_path / "bundle")
+        pops = small_state.populations
+        assert formatted_rows == [len(pops[0])] + [
+            len(pop) - int((prev.distances < pop.tolerance).sum())
+            for prev, pop in zip(pops, pops[1:])]
 
 
 class TestBundleValidation:

@@ -606,18 +606,25 @@ _TEXT = st.one_of(
     st.text("abcm0123456789-_.,/= ", max_size=12))
 
 
+_TYPED_VALUES = {
+    int: st.integers(-10**6, 10**6),
+    cli._nonnegative_int: st.integers(0, 64),
+    cli._positive_int: st.integers(1, 64),
+    float: _NUMBERS,
+    cli._fraction: st.floats(0, 1),
+    cli._nonnegative_float: st.floats(0, 1e6),
+    cli._positive_float: st.floats(0, 1e6, exclude_min=True),
+}
+
+
 def _option_values(action):
     """A strategy for the values of one option, None meaning absent."""
     if action.choices is not None:
         values = st.sampled_from(list(action.choices))
     elif action.nargs == 0:
         values = st.booleans()
-    elif action.type is int:
-        values = st.integers(-10**6, 10**6)
-    elif action.type is cli._nonnegative_int:
-        values = st.integers(0, 64)
-    elif action.type is float:
-        values = _NUMBERS
+    elif action.type in _TYPED_VALUES:
+        values = _TYPED_VALUES[action.type]
     elif action.type is cli._file_name:
         values = st.text("abcxyz_-.0123456789", min_size=1, max_size=12).filter(
             lambda name: name not in (".", ".."))
@@ -661,6 +668,9 @@ _SWEEP_FLOATS = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300"]
 _SWEEP_INTS = ["0", "-1", "1", "2"]
 _SWEEP_TEXT = ["", ",", "x", "nan,nan,nan", "0,0,0,0"]
 _EXIT_CODES = (0, 2, 3, 4)
+_FLOAT_TYPES = (float, cli._fraction, cli._nonnegative_float,
+                cli._positive_float)
+_INT_TYPES = (int, cli._nonnegative_int, cli._positive_int)
 
 
 def _sweep_values(action) -> list:
@@ -669,22 +679,37 @@ def _sweep_values(action) -> list:
         return list(action.choices)
     if action.nargs == 0:
         return [True]
-    if action.type is float:
+    if action.type in _FLOAT_TYPES:
         return _SWEEP_FLOATS
-    if action.type in (int, cli._nonnegative_int):
+    if action.type in _INT_TYPES:
         return _SWEEP_INTS
     return _SWEEP_TEXT
 
 
+def _strict_json(text: str):
+    """Parse JSON, rejecting the NaN and Infinity that strict JSON lacks."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 def _sweep_call(command: str, options: dict, bad: list) -> None:
     """Run one command line; record it in ``bad`` unless it exits with a
-    documented code."""
+    documented code, and on exit 0 leaves strict-JSON manifests."""
     argv = [command] + [f"--{key}" if value is True else f"--{key}={value}"
                         for key, value in options.items()]
     try:
         code = run_cli(*argv)
     except Exception as exc:    # a traceback: record it, keep sweeping
         code = repr(exc)
+    if code == 0:
+        out = Path(options["out-dir"])
+        for name in ["manifest.json"] + (["abc_state/abc_state.json"]
+                                         if command == "abc" else []):
+            try:
+                _strict_json((out / name).read_text())
+            except (OSError, ValueError) as exc:
+                code = f"exit 0, {name}: {exc}"
     if code not in _EXIT_CODES:
         bad.append((argv, code))
 
@@ -764,3 +789,31 @@ def test_min_particles_against_the_mapped_population(sweep_inputs, tmp_path,
     else:
         assert code == 0
     assert (tmp_path / "manifest.json").exists() == (code == 0)
+
+
+@pytest.mark.parametrize("command, options", [
+    ("abc", {"starts": "-1", "prior-centers": "reference"}),
+    ("abc", {"eps-floor": "inf"}),
+    ("map", {"percentile": "nan"}),
+    ("map", {"percentile": "inf"}),
+    ("map", {"n-dp": "-1", "alpha": "nan"}),
+    ("map", {"min-particles": "0"}),
+    *[(command, {name: value, **extra})
+      for command, extra in (("fem-modes", {}), ("map", {"plant": "fem"}))
+      for name in ("alpha", "beta") for value in ("inf", "nan", "1e308")],
+])
+def test_value_outside_its_domain_exits_2_in_every_mode(sweep_inputs, tmp_path,
+                                                        capsys, command,
+                                                        options):
+    """The first option's own check rejects its value, also where the
+    command or mode does not read it: the deterministic map ignores
+    --percentile, the 1-DOF plant --n-dp and --alpha, reference centers
+    --starts. Only 1e308 parses; it makes alpha*M or beta*K overflow."""
+    base = {"abc": {"data": sweep_inputs / "gen/dataset.csv", "n": 40,
+                    "max-populations": 2, "threads": 1, "no-svg": True},
+            "map": {"resolution": 3}}.get(command, {})
+    argv = [f"--{key}" if value is True else f"--{key}={value}"
+            for key, value in {**base, **options}.items()]
+    assert run_cli(command, "--out-dir", tmp_path / "out", *argv) == 2
+    assert list(options)[0] in capsys.readouterr().err.splitlines()[-1]
+    assert not (tmp_path / "out" / "manifest.json").exists()

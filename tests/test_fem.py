@@ -98,6 +98,14 @@ class TestAssembledModes:
         with pytest.raises(DomainError):
             assemble(geometry, n_dp=0, n_bha=1)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0, 1e308])
+    @pytest.mark.parametrize("name", ["alpha", "beta"])
+    def test_damping_must_be_finite_and_nonnegative(self, geometry, name,
+                                                    value):
+        # 1e308 is finite, but alpha*M or beta*K overflows
+        with pytest.raises(DomainError, match=name):
+            assemble(geometry, n_dp=8, n_bha=2, **{name: value})
+
 
 class TestModalProperties:
     def test_single_constrained_element(self):
