@@ -8,6 +8,11 @@ over the calibration subset of a dataset, minimized with Nelder-Mead
 under box bounds derived from each law's sign constraints (parameter
 combinations that violate a law's invariants score +inf, which keeps the
 simplex inside the valid region).
+
+The minimizer is a float-list port of scipy's bounded adaptive
+Nelder-Mead (scipy 1.17 ``_minimize_neldermead``) that reproduces it bit
+for bit, so the package runs on numpy alone; the tests keep scipy as the
+oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .bitrock import (BitRockModel, PARAM_COUNTS, SIGN_CONSTRAINTS, TORQUE_LAWS,
                       as_ratio, signs_hold, torque_eval, validate_params)
@@ -59,6 +63,100 @@ def metric(dataset: TorqueDataset, model: BitRockModel, r) -> float:
                          dataset.calibration_speeds, dataset.calibration_torques)
 
 
+class _EvalCapReached(Exception):
+    """The evaluation budget of _nelder_mead is spent."""
+
+
+def _clip(x: list, lo: list, hi: list) -> list:
+    """np.clip on floats: NaN passes through and a bound wins a tie, so
+    -0.0 against a 0.0 lower bound becomes 0.0."""
+    return [a if v <= a else b if v >= b else v for v, a, b in zip(x, lo, hi)]
+
+
+def _order(sim: list, fsim: list) -> tuple[list, list]:
+    # np.argsort, not sorted(): ties (several +inf vertices) and NaN must
+    # land where scipy puts them
+    ind = np.argsort(fsim).tolist()
+    return [sim[i] for i in ind], [fsim[i] for i in ind]
+
+
+def _nelder_mead(fun, x0: list, lo: list, hi: list, max_evals: int,
+                 xatol: float, fatol: float) -> tuple[list, float, int, bool]:
+    """Bounded adaptive Nelder-Mead on float lists.
+
+    Step for step scipy's ``minimize(method="Nelder-Mead", adaptive=True,
+    bounds=...)`` with ``maxfev=max_evals``, each float operation in the
+    same order, so both return the same bits. Returns (x, fun, nfev,
+    success); fun is NaN when any vertex scores NaN.
+    """
+    n = len(x0)
+    chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= max_evals:
+            raise _EvalCapReached
+        nfev += 1
+        return fun(x)
+
+    def along(c):
+        # xbar + c (xbar - worst) as scipy writes it: reflection c = 1,
+        # expansion chi, outside contraction psi, inside contraction -psi
+        # (exact: 1 + -psi is 1 - psi, and a - (-b) is a + b)
+        return _clip([(1 + c) * a - c * w for a, w in zip(xbar, sim[-1])], lo, hi)
+
+    x0 = _clip(x0, lo, hi)
+    sim = [x0] + [x0[:k] + [(1 + 0.05) * v if v != 0 else 0.00025] + x0[k + 1:]
+                  for k, v in enumerate(x0)]
+    # a vertex pushed past an upper bound is reflected back inside
+    sim = [_clip([2 * b - v if v > b else v for v, b in zip(x, hi)], lo, hi)
+           for x in sim]
+    fsim = [math.inf] * (n + 1)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _EvalCapReached:
+        pass
+    sim, fsim = _order(*_order(sim, fsim))      # scipy sorts twice
+
+    while nfev < max_evals:
+        try:
+            if (all(abs(v - v0) <= xatol for x in sim[1:]
+                    for v, v0 in zip(x, sim[0]))
+                    and all(abs(fsim[0] - fv) <= fatol for fv in fsim[1:])):
+                break
+            xbar = sim[0]
+            for x in sim[1:-1]:
+                xbar = [a + v for a, v in zip(xbar, x)]
+            xbar = [a / n for a in xbar]
+            xr = along(1)
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = along(chi)
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                outside = fxr < fsim[-1]
+                xc = along(psi if outside else -psi)
+                fxc = f(xc)
+                if fxc <= fxr if outside else fxc < fsim[-1]:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        # a cap reached here leaves fsim[j] stale, as in scipy
+                        sim[j] = _clip([a + sigma * (v - a)
+                                        for a, v in zip(sim[0], sim[j])], lo, hi)
+                        fsim[j] = f(sim[j])
+        except _EvalCapReached:
+            pass
+        sim, fsim = _order(sim, fsim)
+    fval = math.nan if any(math.isnan(v) for v in fsim) else fsim[0]
+    return sim[0], fval, nfev, nfev < max_evals
+
+
 def fit(dataset: TorqueDataset, kind: int, r, initial,
         max_evals: int = 50_000, n_starts: int = 1, jitter: float = 0.2,
         seed: int = 0) -> FitResult:
@@ -77,19 +175,18 @@ def fit(dataset: TorqueDataset, kind: int, r, initial,
     # the start draws span 2 jitter; written so that NaN fails the test
     if not 0 <= 2.0 * jitter < math.inf:
         raise DomainError(f"jitter must be >= 0 with 2 * jitter finite, got {jitter}")
-    lo, hi = np.array(default_bounds(kind)).T
-    x0 = np.clip(np.array(validate_params(kind, initial), dtype=float), lo, hi)
-    if not signs_hold(kind, x0.tolist()):
+    lo, hi = (list(b) for b in zip(*default_bounds(kind)))
+    x0 = _clip(list(validate_params(kind, initial)), lo, hi)
+    if not signs_hold(kind, x0):
         raise DomainError("initial point violates the model invariants")
     # bound once; a TorqueDataset holds only finite speeds >= 0, so the
     # objective runs the law without torque_eval's speed checks
     speeds, y = dataset.calibration_speeds, dataset.calibration_torques
     law, rv, ynorm = TORQUE_LAWS[kind], as_ratio(r), float(np.dot(y, y))
 
-    def objective(x):
-        p = x.tolist()
+    def objective(p):
         if not signs_hold(kind, p):
-            return np.inf
+            return math.inf
         resid = y - law(rv, p, speeds, np)
         return float(np.dot(resid, resid) / ynorm)
 
@@ -99,21 +196,18 @@ def fit(dataset: TorqueDataset, kind: int, r, initial,
     rng = np.random.default_rng(seed)
     starts = [x0]
     for _ in range(n_starts - 1):
-        cand = x0 * rng.uniform(1.0 - jitter, 1.0 + jitter, size=x0.shape)
-        cand = np.clip(cand, lo, hi)
+        scale = rng.uniform(1.0 - jitter, 1.0 + jitter, size=len(x0)).tolist()
+        cand = _clip([v * u for v, u in zip(x0, scale)], lo, hi)
         # off the invariants, or where the misfit overflows, start at x0
         starts.append(cand if objective(cand) < math.inf else x0)
 
     for start in starts:
-        res = scipy.optimize.minimize(
-            objective, start, method="Nelder-Mead",
-            bounds=scipy.optimize.Bounds(lo, hi),
-            options=dict(maxfev=max_evals, xatol=1e-10, fatol=1e-14,
-                         adaptive=True))
-        total_nfev += res.nfev
-        if res.fun < best_f:
-            best_x, best_f = np.asarray(res.x), float(res.fun)
-        converged = converged and bool(res.success)
+        x, fx, nfev, success = _nelder_mead(objective, start, lo, hi, max_evals,
+                                            xatol=1e-10, fatol=1e-14)
+        total_nfev += nfev
+        if fx < best_f:
+            best_x, best_f = x, fx
+        converged = converged and success
 
     return FitResult(model=BitRockModel(kind=kind, params=tuple(best_x)),
                      metric_value=best_f, iterations=total_nfev,

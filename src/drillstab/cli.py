@@ -111,6 +111,14 @@ def _out_dir(config) -> Path:
     return out
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one,
+    which a CPU-limited container narrows below os.cpu_count()."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 # ---------------------------------------------------------------- gen-data
 
 def run_gen_data(config: dict) -> list[str]:
@@ -183,7 +191,7 @@ def run_abc(config: dict) -> list[str]:
                         n=config["n"], eps_floor=config["eps_floor"],
                         max_populations=config["max_populations"],
                         seed=config["seed"], r=r,
-                        threads=config["threads"] or os.cpu_count() or 1,
+                        threads=config["threads"] or _usable_cpus(),
                         **sampler)
     abc_mod.save_state(state, out / "abc_state")
     outputs = [f"abc_state/population_{g:02d}.csv"

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .bitrock import BitRockModel, torque_derivative
 from .dynamics import KNM_TO_NM, OperatingPoint
@@ -154,15 +153,18 @@ def assemble(geometry: DrillStringGeometry, n_dp: int = 1, n_bha: int = 1,
 def modal_properties(model: FemTorsionalModel) -> list[tuple[float, float]]:
     """Natural frequencies (rad/s, ascending) and modal damping ratios.
 
-    Frequencies solve the symmetric-definite problem K v = w^2 M v; the
+    Frequencies solve the symmetric-definite problem K v = w^2 M v, reduced
+    with M = L L^T to the standard problem (L^-1 K L^-T) u = w^2 u; the
     ratios come from the proportional-damping closed form
     xi_i = (alpha / w_i + beta * w_i) / 2.
     """
     try:
-        w2 = scipy.linalg.eigh(model.stiffness, model.mass, eigvals_only=True)
-    except scipy.linalg.LinAlgError as exc:
+        low = np.linalg.cholesky(model.mass)
+        w2 = np.linalg.eigvalsh(np.linalg.solve(
+            low, np.linalg.solve(low, model.stiffness).T))
+    except np.linalg.LinAlgError as exc:
         raise NumericError(f"generalized eigensolver failed: {exc}") from exc
-    if (w2 <= 0).any():
+    if not (w2 > 0).all():
         raise NumericError("constrained system has non-positive eigenvalues")
     omegas = np.sqrt(w2)
     xis = (model.alpha / omegas + model.beta * omegas) / 2.0

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.optimize
 
+from drillstab import calibration
 from drillstab.bitrock import BitRockModel
-from drillstab.calibration import default_bounds, fit, fit_all, metric
+from drillstab.calibration import _nelder_mead, default_bounds, fit, fit_all, metric
 from drillstab.dataio import TorqueDataset, synthesize
 from drillstab.errors import DataError, DomainError, NumericError
 from drillstab.reference import REFERENCE_PARAMS
@@ -145,3 +149,83 @@ def test_fit_all_runs_every_model(m3, r1):
     for kind, res in results.items():
         assert res.model.kind == kind
         assert res.metric_value >= 0
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _check_against_scipy(fun, x0, lo, hi, max_evals, xatol=1e-10, fatol=1e-14):
+    """Run the port and scipy's bounded adaptive Nelder-Mead on one problem;
+    require equal bits in x and fun and equal nfev and success. Returns
+    the port's result and scipy's final simplex."""
+    got = _nelder_mead(fun, x0, lo, hi, max_evals, xatol, fatol)
+    res = scipy.optimize.minimize(
+        lambda v: fun(v.tolist()), x0, method="Nelder-Mead",
+        bounds=scipy.optimize.Bounds(lo, hi),
+        options=dict(maxfev=max_evals, xatol=xatol, fatol=fatol, adaptive=True))
+    x, fx, nfev, success = got
+    assert (_bits(x), _bits([fx]), nfev, success) \
+        == (_bits(res.x), _bits([res.fun]), res.nfev, res.success)
+    return got, res.final_simplex
+
+
+_FREE2, _FREE3 = ([-math.inf] * 2, [math.inf] * 2), ([-math.inf] * 3, [math.inf] * 3)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.8, 3.0])
+def test_nelder_mead_matches_scipy(noise, r1, monkeypatch):
+    """Every law fitted to m3 data with three starts (the first plain, two
+    jittered): each Nelder-Mead run returns scipy's bits."""
+    runs = []
+
+    def checked(*args, **kwargs):
+        runs.append(_check_against_scipy(*args, **kwargs)[0])
+        return runs[-1]
+
+    monkeypatch.setattr(calibration, "_nelder_mead", checked)
+    ds = synthesize(BitRockModel(kind=3, params=REFERENCE_PARAMS[3]), r1,
+                    noise_std=noise, seed=1)
+    for kind in (1, 2, 3, 4):
+        fit(ds, kind, r1, REFERENCE_PARAMS[kind], n_starts=3, seed=kind)
+    assert len(runs) == 12
+
+
+def test_nelder_mead_matches_scipy_with_inf_vertices():
+    # three of the four initial vertices sum past 3 and score +inf
+    def fun(x):
+        return math.inf if sum(x) > 3.0 else sum((v - 0.5) ** 2 for v in x)
+    (_, fx, _, success), _ = _check_against_scipy(fun, [1.0] * 3, *_FREE3, 2000)
+    assert success and fx < math.inf
+
+
+def test_nelder_mead_matches_scipy_with_nan_vertices():
+    def fun(x):
+        return math.nan if x[0] > 1.02 else (x[0] - 3.0) ** 2 + x[1] ** 2
+    capped, free = (_check_against_scipy(fun, [1.0, 1.0], *_FREE2, cap)[0][1]
+                    for cap in (10, 2000))
+    assert math.isnan(capped) and free < 4.0
+
+
+def test_nelder_mead_matches_scipy_with_the_cap_inside_a_shrink():
+    # only the initial vertices score finitely, so every step ends in a
+    # shrink; some caps stop after a shrink replaced a vertex with a finite
+    # score but before it was scored again
+    scores = {(1.0, 1.0): 2.0, (1.05, 1.0): 1.0, (1.0, 1.05): 3.0}
+
+    def fun(x):
+        return scores.get(tuple(x), math.inf)
+    stale = 0
+    for cap in range(30):
+        _, (sim, fsim) = _check_against_scipy(fun, [1.0, 1.0], *_FREE2, cap)
+        stale += any(fv < math.inf and fun(v.tolist()) != fv
+                     for v, fv in zip(sim, fsim))
+    assert stale > 0
+
+
+def test_nelder_mead_matches_scipy_from_negative_zero():
+    def fun(x):
+        return x[0] ** 2 + (x[1] - 1.0) ** 2
+    (x, fx, _, _), _ = _check_against_scipy(fun, [-0.0, 1.0], [0.0, -math.inf],
+                                            [math.inf] * 2, 2000)
+    assert fx == 0.0 and math.copysign(1.0, x[0]) == 1.0

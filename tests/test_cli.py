@@ -258,6 +258,22 @@ class TestAbc:
                        dataset_dir / "dataset.csv", "--n", "50")
         assert code == 3
 
+    def test_threads_0_uses_the_cpus_of_the_affinity_mask(self, dataset_dir,
+                                                          tmp_path, monkeypatch):
+        seen = {}
+
+        def fake_run(*args, threads, **kwargs):
+            seen["threads"] = threads
+            raise StallError("stalled", epsilon=1e-9, attempts=10)
+        monkeypatch.setattr(cli.abc_mod, "run", fake_run)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        assert run_cli("abc", "--out-dir", tmp_path, "--data",
+                       dataset_dir / "dataset.csv", "--prior-centers",
+                       "reference", "--threads", "0") == 3
+        assert seen == {"threads": 3}
+
 
 class TestMap:
     def test_deterministic_outputs(self, tmp_path):
@@ -564,11 +580,12 @@ class TestReplayDeterminism:
                        "--out-dir", tmp_path / "out") == 4
 
 
-def test_cli_import_leaves_out_scipy_stats():
+def test_cli_import_leaves_out_scipy():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, drillstab.cli; print('scipy.stats' in sys.modules)"
+    probe = ("import sys, drillstab.cli; "
+             "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
     res = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     assert res.stdout.strip() == "False"
@@ -733,7 +750,7 @@ def test_option_sweep_exits_with_a_documented_code(sweep_inputs, tmp_path,
     """Every option of every command, one at a time, at degenerate values,
     ends in a documented exit code, not a traceback."""
     monkeypatch.chdir(tmp_path)     # relative --out-dir values land here
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)     # --threads 0
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)     # --threads 0
     data = str(sweep_inputs / "gen/dataset.csv")
     bundle = str(sweep_inputs / "abc/abc_state")
     bases = [

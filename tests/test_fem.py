@@ -3,10 +3,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from drillstab.bitrock import BitRockModel
 from drillstab.dynamics import OperatingPoint
-from drillstab.errors import DomainError
+from drillstab.errors import DomainError, NumericError
 from drillstab.fem import (DrillStringGeometry, assemble, eigenvalues_general,
                            element_matrices, jacobian_fem, modal_properties,
                            polar_moment)
@@ -120,6 +121,25 @@ class TestModalProperties:
     def test_undamped_has_zero_ratios(self, geometry):
         model = assemble(geometry, n_dp=2, n_bha=2, alpha=0.0, beta=0.0)
         assert all(xi == 0.0 for _, xi in modal_properties(model))
+
+    @pytest.mark.parametrize("n_dp, n_bha", [(1, 1), (8, 2), (20, 5)])
+    def test_frequencies_match_scipy_eigh(self, geometry, n_dp, n_bha):
+        model = assemble(geometry, n_dp=n_dp, n_bha=n_bha, alpha=0.5, beta=0.006)
+        w2 = np.array([w for w, _ in modal_properties(model)]) ** 2
+        want = scipy.linalg.eigh(model.stiffness, model.mass, eigvals_only=True)
+        np.testing.assert_allclose(w2, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("mass, stiffness", [
+        ([[1.0, 0.0], [0.0, -1.0]], [[2.0, -1.0], [-1.0, 1.0]]),   # M indefinite
+        ([[1.0, 0.0], [0.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]]),      # K indefinite
+    ])
+    def test_matrices_not_positive_definite_raise_numeric_error(self, mass,
+                                                                stiffness):
+        # NumericError is the CLI's exit code 3
+        stub = SimpleNamespace(mass=np.array(mass), stiffness=np.array(stiffness),
+                               alpha=0.0, beta=0.0)
+        with pytest.raises(NumericError):
+            modal_properties(stub)
 
 
 class TestJacobianFem:
