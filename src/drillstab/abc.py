@@ -370,8 +370,7 @@ def check_coverage(coverage: float) -> None:
 
 
 def predictive_envelope(state: AbcState, g: int, kind: int, speeds,
-                        coverage: float = 0.98, r=1.0,
-                        min_particles: int = ENVELOPE_MIN_PARTICLES
+                        coverage: float = 0.98, r=1.0
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise (low, high) torque quantile band over one model's particles.
 
@@ -381,10 +380,10 @@ def predictive_envelope(state: AbcState, g: int, kind: int, speeds,
     check_coverage(coverage)
     pop = state.population(g)
     phi = pop.particles_of(kind)
-    if len(phi) < min_particles:
+    if len(phi) < ENVELOPE_MIN_PARTICLES:
         raise InsufficientSamplesError(
             f"model {kind} has {len(phi)} particles in population {g}; "
-            f"need >= {min_particles} for an envelope")
+            f"need >= {ENVELOPE_MIN_PARTICLES} for an envelope")
     speeds = np.asarray(speeds, dtype=float)
     q_lo = (1.0 - coverage) / 2.0
     # a block of speeds at a time: each column's quantiles depend on that

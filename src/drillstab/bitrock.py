@@ -199,15 +199,10 @@ def torque(model: BitRockModel, r, speed):
     return torque_eval(model.kind, model.params, r, speed)
 
 
-def torque_derivative_eval(kind: int, params, r, speed):
-    """Derivative for a raw (kind, params) pair; no invariant validation."""
-    s, m = _speed(speed)
-    return SLOPE_LAWS[kind](as_ratio(r), params, s, m)
-
-
 def torque_derivative(model: BitRockModel, r, speed):
     """d(torque)/d(speed) in kN m s/rad (closed forms, scalar or array)."""
-    return torque_derivative_eval(model.kind, model.params, r, speed)
+    s, m = _speed(speed)
+    return SLOPE_LAWS[model.kind](as_ratio(r), model.params, s, m)
 
 
 def _batch(laws, kind, params, r, speeds) -> np.ndarray:

@@ -157,6 +157,9 @@ def _nelder_mead(fun, x0: list, lo: list, hi: list, max_evals: int,
     return sim[0], fval, nfev, nfev < max_evals
 
 
+# a start or vertex whose misfit overflows scores inf or NaN, which the search
+# handles; entered once per fit, not per objective call
+@np.errstate(over="ignore", invalid="ignore")
 def fit(dataset: TorqueDataset, kind: int, r, initial,
         max_evals: int = 50_000, n_starts: int = 1, jitter: float = 0.2,
         seed: int = 0) -> FitResult:
@@ -177,8 +180,6 @@ def fit(dataset: TorqueDataset, kind: int, r, initial,
         raise DomainError(f"jitter must be >= 0 with 2 * jitter finite, got {jitter}")
     lo, hi = (list(b) for b in zip(*default_bounds(kind)))
     x0 = _clip(list(validate_params(kind, initial)), lo, hi)
-    if not signs_hold(kind, x0):
-        raise DomainError("initial point violates the model invariants")
     # bound once; a TorqueDataset holds only finite speeds >= 0, so the
     # objective runs the law without torque_eval's speed checks
     speeds, y = dataset.calibration_speeds, dataset.calibration_torques

@@ -32,7 +32,8 @@ import numpy as np
 from . import __version__, abc as abc_mod, svgplot
 from .bitrock import BitRockModel, MODEL_KINDS, PARAM_COUNTS, WobRatio
 from .calibration import fit
-from .dataio import read_csv, synthesize, write_csv, write_json, write_table
+from .dataio import (DEFAULT_SPEED_POINTS, DEFAULT_SPEED_RANGE, read_csv,
+                     synthesize, write_csv, write_json, write_table)
 from .dynamics import LumpedDrillString
 from .errors import (ConfigError, DataError, DrillstabError, DomainError,
                      NumericError)
@@ -125,8 +126,6 @@ def run_gen_data(config: dict) -> list[str]:
     kind = _model_kind(config["model"])
     model = BitRockModel(kind=kind, params=_params_for(kind, config["params"]))
     w_ref = config["w_ref"]
-    if config["n"] < 2:
-        raise ConfigError("--n must be at least 2")
     speeds = np.linspace(config["speed_min"], config["speed_max"], config["n"])
     dataset = synthesize(model, WobRatio.from_ratio(config["r"], w_ref),
                          speeds=speeds, noise_std=config["noise"],
@@ -460,7 +459,9 @@ def _checked(parse, ok, rule: str):
 
 _nonnegative_int = _checked(int, lambda v: v >= 0, ">= 0")
 _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
+_int_from_2 = _checked(int, lambda v: v >= 2, ">= 2")
 _fraction = _checked(float, lambda v: 0 <= v <= 1, "in [0, 1]")
+_open_fraction = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
 _nonnegative_float = _checked(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
 _positive_float = _checked(float, lambda v: 0 < v < math.inf, "finite and > 0")
 
@@ -487,9 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w-ref", type=float, default=W_REF_KN)
     p.add_argument("--noise", type=float, default=0.0,
                    help="additive Gaussian noise std, kN m")
-    p.add_argument("--n", type=int, default=200)
-    p.add_argument("--speed-min", type=float, default=0.5)
-    p.add_argument("--speed-max", type=float, default=15.0)
+    p.add_argument("--n", type=_int_from_2, default=DEFAULT_SPEED_POINTS)
+    p.add_argument("--speed-min", type=float, default=DEFAULT_SPEED_RANGE[0])
+    p.add_argument("--speed-max", type=float, default=DEFAULT_SPEED_RANGE[1])
     p.add_argument("--filename", type=_file_name, default="dataset.csv",
                    help="bare file name inside --out-dir")
 
@@ -505,11 +506,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_command(sub, "abc", "ABC rejection run with model selection")
     _add_data(p)
-    p.add_argument("--delta", type=float, default=0.4)
-    p.add_argument("--n", type=int, default=25_000)
+    p.add_argument("--delta", type=_open_fraction, default=0.4)
+    p.add_argument("--n", type=_positive_int, default=25_000)
     p.add_argument("--eps-floor", type=_positive_float,
                    default=abc_mod.DEFAULT_EPS_FLOOR)
-    p.add_argument("--max-populations", type=int, default=20)
+    p.add_argument("--max-populations", type=_positive_int, default=20)
     p.add_argument("--model-prior",
                    help="four comma-separated probabilities (default uniform)")
     p.add_argument("--prior-centers", choices=("fit", "reference"), default="fit")
@@ -546,7 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega-max", type=float, default=DEFAULT_OMEGA_RANGE[1])
     p.add_argument("--wob-min", type=float)
     p.add_argument("--wob-max", type=float)
-    p.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION[0])
+    p.add_argument("--resolution", type=_int_from_2,
+                   default=DEFAULT_RESOLUTION[0])
     p.add_argument("--no-svg", action="store_true")
 
     p = _add_command(sub, "fem-modes", "modal table of the FE model")

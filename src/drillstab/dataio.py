@@ -35,6 +35,9 @@ VALIDATION = "validation"
 _SPLITS = (CALIBRATION, VALIDATION)
 
 MIN_CALIBRATION_SAMPLES = 3
+# the synthetic speed grid (rad/s) of synthesize and gen-data
+DEFAULT_SPEED_POINTS = 200
+DEFAULT_SPEED_RANGE = (0.5, 15.0)
 
 
 @dataclass
@@ -115,9 +118,9 @@ class TorqueDataset:
             raise DataError("calibration torques are all zero; metric undefined")
 
 
-def default_speed_grid(n: int = 200, lo: float = 0.5, hi: float = 15.0) -> np.ndarray:
+def default_speed_grid() -> np.ndarray:
     """Uniform synthetic speed grid (rad/s) covering the usual data span."""
-    return np.linspace(lo, hi, n)
+    return np.linspace(*DEFAULT_SPEED_RANGE, DEFAULT_SPEED_POINTS)
 
 
 def synthesize(model: BitRockModel, r, speeds=None, noise_std: float = 0.0,

@@ -145,15 +145,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.times)
 
-    def __getitem__(self, i: int) -> TorsionalState:
-        return TorsionalState(theta=float(self.thetas[i]),
-                              theta_dot=float(self.theta_dots[i]),
-                              time=float(self.times[i]))
-
-    @property
-    def final(self) -> TorsionalState:
-        return self[len(self) - 1]
-
 
 def simulate(model: BitRockModel, r, ds: LumpedDrillString, op: OperatingPoint,
              initial: TorsionalState, t_end: float, dt: float = 1e-3) -> Trajectory:
@@ -177,19 +168,14 @@ def simulate(model: BitRockModel, r, ds: LumpedDrillString, op: OperatingPoint,
     thetas = np.empty(n_steps + 1)
     speeds = np.empty(n_steps + 1)
 
-    # locals for the hot loop; acc rejects non-finite states and clamps the
-    # speed to >= 0, so the law runs without torque()'s speed checks
+    # locals for the hot loop; acc clamps the speed to >= 0 (NaN to 0), so
+    # the law runs without torque()'s speed checks
     i_eq, c_eq, k_eq = ds.i_eq, ds.c_eq, ds.k_eq
     law, params, rv = TORQUE_LAWS[model.kind], model.params, as_ratio(r)
     omega = op.omega
     t0 = initial.time
 
-    class _Diverged(Exception):
-        pass
-
     def acc(th, v, t):
-        if not (math.isfinite(th) and math.isfinite(v)):
-            raise _Diverged
         tq = KNM_TO_NM * law(rv, params, v if v > 0.0 else 0.0, math)
         return (k_eq * (omega * t - th) + c_eq * (omega - v) - tq) / i_eq
 
@@ -215,12 +201,13 @@ def simulate(model: BitRockModel, r, ds: LumpedDrillString, op: OperatingPoint,
                 th_new = th
             else:
                 th_new = th + dt * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0
-            if not (math.isfinite(th_new) and math.isfinite(v_new)):
-                raise _Diverged
-        except (_Diverged, OverflowError):
+        except OverflowError:
+            th_new = v_new = math.nan
+        # a non-finite stage value always reaches th_new or v_new
+        if not (math.isfinite(th_new) and math.isfinite(v_new)):
             raise IntegrationError(
                 f"state diverged within the step after t={t:.6g} s",
-                last_valid_time=t) from None
+                last_valid_time=t)
         th, v = th_new, v_new
         times[i], thetas[i], speeds[i] = t0 + i * dt, th, v
 

@@ -10,7 +10,7 @@ stability Jacobian as an extra damping term on the last (bit) DOF.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,37 +75,35 @@ def element_matrices(j: float, l_el: float, density: float,
 class FemTorsionalModel:
     """Assembled model after eliminating the fixed top DOF.
 
-    mass/stiffness/damping are (n_el x n_el) symmetric matrices; damping
-    is exactly alpha*mass + beta*stiffness.
+    mass/stiffness are (n_el x n_el) symmetric matrices; the proportional
+    damping alpha*mass + beta*stiffness is computed from them.
     """
 
     n_dp: int
     n_bha: int
     mass: np.ndarray
     stiffness: np.ndarray
-    damping: np.ndarray
     alpha: float
     beta: float
-    geometry: DrillStringGeometry = field(repr=False)
 
     @property
     def n_el(self) -> int:
         return self.n_dp + self.n_bha
 
+    @property
+    def damping(self) -> np.ndarray:
+        return self.alpha * self.mass + self.beta * self.stiffness
+
     def __post_init__(self):
         n = self.n_el
         if self.n_dp < 1 or self.n_bha < 1:
             raise DomainError("need at least one element per section")
-        for name in ("mass", "stiffness", "damping"):
+        for name in ("mass", "stiffness"):
             a = getattr(self, name)
             if a.shape != (n, n):
                 raise DomainError(f"{name} must be {n}x{n}, got {a.shape}")
             if not np.allclose(a, a.T, rtol=0, atol=1e-9 * max(1.0, abs(a).max())):
                 raise DomainError(f"{name} must be symmetric")
-        if not np.allclose(self.damping,
-                           self.alpha * self.mass + self.beta * self.stiffness,
-                           rtol=1e-12, atol=0):
-            raise DomainError("damping must equal alpha*mass + beta*stiffness")
         for name in ("mass", "stiffness"):
             try:
                 np.linalg.cholesky(getattr(self, name))
@@ -140,14 +138,13 @@ def assemble(geometry: DrillStringGeometry, n_dp: int = 1, n_bha: int = 1,
         stiff[e:e + 2, e:e + 2] += k_el
     mass = mass[1:, 1:]
     stiff = stiff[1:, 1:]
+    model = FemTorsionalModel(n_dp=n_dp, n_bha=n_bha, mass=mass,
+                              stiffness=stiff, alpha=alpha, beta=beta)
     with np.errstate(over="ignore"):
-        damping = alpha * mass + beta * stiff
-    if not np.isfinite(damping).all():
-        raise DomainError(f"damping alpha*M + beta*K overflows at alpha={alpha}, "
-                          f"beta={beta}")
-    return FemTorsionalModel(n_dp=n_dp, n_bha=n_bha, mass=mass,
-                             stiffness=stiff, damping=damping,
-                             alpha=alpha, beta=beta, geometry=geometry)
+        if not np.isfinite(model.damping).all():
+            raise DomainError("damping alpha*M + beta*K overflows at "
+                              f"alpha={alpha}, beta={beta}")
+    return model
 
 
 def modal_properties(model: FemTorsionalModel) -> list[tuple[float, float]]:
@@ -175,7 +172,7 @@ def state_matrix(model: FemTorsionalModel, bit_damping: float) -> np.ndarray:
     """2n x 2n state matrix [[0, I], [-M^-1 K, -M^-1 C_NL]] where C_NL adds
     ``bit_damping`` (N m s/rad) to the bit diagonal entry."""
     n = model.n_el
-    c_nl = model.damping.copy()
+    c_nl = model.damping
     c_nl[-1, -1] += bit_damping
     a = np.zeros((2 * n, 2 * n))
     a[:n, n:] = np.eye(n)

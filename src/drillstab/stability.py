@@ -8,7 +8,8 @@ damping c*, and each parameter vector has one threshold r* per Omega
 (unstable at and above it when c* < 0, at and below it when c* >= 0, as for
 an undamped plant). A cell's instability probability is the (weighted, for
 mixtures) share of particles unstable at its r; a boundary point is the
-exact threshold where that share reaches the percentile.
+exact threshold where that share reaches the percentile. The share is
+monotone along W, so each Omega column crosses the percentile at most once.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bitrock import (BitRockModel, WobRatio,
-                      torque_derivative_batch, torque_derivative_eval)
+from .bitrock import (BitRockModel, WobRatio, torque_derivative,
+                      torque_derivative_batch)
 from .dataio import write_table
 from .dynamics import KNM_TO_NM, LumpedDrillString, OperatingPoint, jacobian_1dof
 from .errors import DomainError, InsufficientSamplesError, NumericError
@@ -69,21 +70,10 @@ class StabilityGrid:
 
 @dataclass(frozen=True)
 class BoundaryCurve:
-    """Stable/unstable interface as (Omega, W) points, ascending Omega.
-
-    ``single_valued`` is False when some column crossed more than once (only
-    the first crossing then has a point); ``monotone`` flags whether W
-    increases along Omega.
-    """
+    """Stable/unstable interface as (Omega, W) points, ascending Omega,
+    at most one per Omega column."""
 
     points: np.ndarray
-    single_valued: bool = True
-
-    @property
-    def monotone(self) -> bool:
-        if len(self.points) < 2:
-            return True
-        return bool((np.diff(self.points[:, 1]) > 0).all())
 
     def __len__(self) -> int:
         return len(self.points)
@@ -135,7 +125,7 @@ def classify_trace(model: BitRockModel, plant: LumpedDrillString,
     """Independent 1-DOF route: rightmost eigenvalue from the closed-form
     quadratic, same tie rule as ``classify``."""
     r = WobRatio(op.wob, w_ref)
-    d_nm = KNM_TO_NM * torque_derivative_eval(model.kind, model.params, r, op.omega)
+    d_nm = KNM_TO_NM * torque_derivative(model, r, op.omega)
     return bool(_stable(plant, d_nm)[0])
 
 
@@ -200,6 +190,10 @@ def _threshold_map(components, weights, plant, w_ref, omega_axis, wob_axis,
     not hold). A particle with slope s = 1000 T'(Omega) is unstable where
     s r <= c*: with sign that of -c*, at and above u* = sign c*/s in
     u = sign r (u* = sign inf where sign s >= 0).
+
+    A share counts thresholds at or below u with weights >= 0, and IEEE
+    rounding is monotone, so each row is monotone in u: it crosses the
+    percentile at most once, and its two ends decide whether it does.
     """
     if not 0 <= percentile <= 1:
         raise DomainError(f"percentile must lie in [0, 1], got {percentile}")
@@ -212,7 +206,7 @@ def _threshold_map(components, weights, plant, w_ref, omega_axis, wob_axis,
     p = np.empty((len(omega_axis), len(wob_axis)))
     wob_star = np.full(len(omega_axis), np.nan)
     flips = np.zeros((len(components), len(omega_axis)), dtype=bool)
-    single_valued, s_abs = True, 0.0
+    s_abs = 0.0
     for i, om in enumerate(omega_axis):
         slopes = [KNM_TO_NM * torque_derivative_batch(
             kind, phis, 1.0, np.array([om]))[:, 0] for kind, phis in components]
@@ -220,11 +214,10 @@ def _threshold_map(components, weights, plant, w_ref, omega_axis, wob_axis,
         with np.errstate(divide="ignore", invalid="ignore"):
             thresholds = [np.sort(np.where(sign * s < 0, sign * c_star / s,
                                            sign * np.inf)) for s in slopes]
-        flips[:, i] = [np.diff(_probability([1.0], [t], u_axis)
-                               < percentile).any() for t in thresholds]
+        flips[:, i] = [np.diff(_probability([1.0], [t], u_axis[[0, -1]])
+                               < percentile)[0] for t in thresholds]
         p[i] = _probability(weights, thresholds, u_axis)
         j = np.flatnonzero(np.diff(p[i] < percentile))
-        single_valued &= len(j) <= 1
         if len(j):
             # the first pooled threshold in the flipping cell pair at
             # which the probability reaches the percentile
@@ -243,9 +236,7 @@ def _threshold_map(components, weights, plant, w_ref, omega_axis, wob_axis,
     inside = (np.maximum.accumulate(flips, axis=1)
               & np.maximum.accumulate(flips[:, ::-1], axis=1)[:, ::-1])
     keep = inside.all(axis=0) & ~np.isnan(wob_star)
-    return p, BoundaryCurve(
-        points=np.column_stack([omega_axis[keep], wob_star[keep]]),
-        single_valued=bool(single_valued))
+    return p, BoundaryCurve(np.column_stack([omega_axis[keep], wob_star[keep]]))
 
 
 def map_deterministic(model: BitRockModel, plant, w_ref: float,

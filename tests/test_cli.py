@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,19 @@ class TestFit:
             report = json.loads((out / "fit_report.json").read_text())
             params[starts] = report["m2"]["params"]
         assert params["1"] == params["2"]
+
+    @pytest.mark.parametrize("options, code", [
+        (["--starts", "3", "--jitter", "1e300"], 0),
+        (["--r", "1e300"], 3),
+    ])
+    def test_overflowing_misfits_print_no_warning(self, dataset_dir, tmp_path,
+                                                  options, code):
+        # an overflowing start falls back to the initial point; an
+        # overflowing initial point is a numeric failure
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("fit", "--out-dir", tmp_path, "--data",
+                           dataset_dir / "dataset.csv", *options) == code
 
 
 @pytest.mark.parametrize("command", [
@@ -627,8 +641,10 @@ _TYPED_VALUES = {
     int: st.integers(-10**6, 10**6),
     cli._nonnegative_int: st.integers(0, 64),
     cli._positive_int: st.integers(1, 64),
+    cli._int_from_2: st.integers(2, 64),
     float: _NUMBERS,
     cli._fraction: st.floats(0, 1),
+    cli._open_fraction: st.floats(0, 1, exclude_min=True, exclude_max=True),
     cli._nonnegative_float: st.floats(0, 1e6),
     cli._positive_float: st.floats(0, 1e6, exclude_min=True),
 }
@@ -685,9 +701,9 @@ _SWEEP_FLOATS = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300"]
 _SWEEP_INTS = ["0", "-1", "1", "2"]
 _SWEEP_TEXT = ["", ",", "x", "nan,nan,nan", "0,0,0,0"]
 _EXIT_CODES = (0, 2, 3, 4)
-_FLOAT_TYPES = (float, cli._fraction, cli._nonnegative_float,
-                cli._positive_float)
-_INT_TYPES = (int, cli._nonnegative_int, cli._positive_int)
+_FLOAT_TYPES = (float, cli._fraction, cli._open_fraction,
+                cli._nonnegative_float, cli._positive_float)
+_INT_TYPES = (int, cli._nonnegative_int, cli._positive_int, cli._int_from_2)
 
 
 def _sweep_values(action) -> list:
@@ -818,14 +834,25 @@ def test_min_particles_against_the_mapped_population(sweep_inputs, tmp_path,
     *[(command, {name: value, **extra})
       for command, extra in (("fem-modes", {}), ("map", {"plant": "fem"}))
       for name in ("alpha", "beta") for value in ("inf", "nan", "1e308")],
+    ("map", {"resolution": "1", "plant": "fem"}),
+    ("abc", {"n": "0"}),
+    ("abc", {"max-populations": "0"}),
+    ("abc", {"delta": "0"}),
+    ("abc", {"delta": "1"}),
+    ("gen-data", {"n": "1", "model": "m3"}),
 ])
 def test_value_outside_its_domain_exits_2_in_every_mode(sweep_inputs, tmp_path,
-                                                        capsys, command,
-                                                        options):
+                                                        capsys, monkeypatch,
+                                                        command, options):
     """The first option's own check rejects its value, also where the
     command or mode does not read it: the deterministic map ignores
     --percentile, the 1-DOF plant --n-dp and --alpha, reference centers
-    --starts. Only 1e308 parses; it makes alpha*M or beta*K overflow."""
+    --starts. Only 1e308 parses; it makes alpha*M or beta*K overflow. No
+    value reaches the work: abc's fits, a map's c* or gen-data's data."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("a bad option value reached the work")
+    for name in ("fit", "critical_damping", "synthesize"):
+        monkeypatch.setattr(cli, name, no_work)
     base = {"abc": {"data": sweep_inputs / "gen/dataset.csv", "n": 40,
                     "max-populations": 2, "threads": 1, "no-svg": True},
             "map": {"resolution": 3}}.get(command, {})

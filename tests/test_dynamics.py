@@ -99,10 +99,10 @@ class TestSimulate:
         op = OperatingPoint(omega=3.0, wob=W_REF_KN)
         start = TorsionalState(theta=0.0, theta_dot=0.0, time=0.0)
         traj = simulate(flat, r1, plant, op, start, t_end=80.0, dt=1e-3)
-        assert abs(traj.final.theta_dot - op.omega) < 1e-3 * op.omega
+        assert abs(traj.theta_dots[-1] - op.omega) < 1e-3 * op.omega
         # theta tracks the table angle up to the (zero) equilibrium twist
-        assert traj.final.theta == pytest.approx(op.omega * traj.final.time,
-                                                 rel=1e-3)
+        assert traj.thetas[-1] == pytest.approx(op.omega * traj.times[-1],
+                                                rel=1e-3)
 
     def test_sample_count(self, r1, plant):
         flat = BitRockModel(kind=4, params=(1.0, 0.0, 0.0, 0.0))
@@ -138,7 +138,7 @@ class TestSimulate:
 
         def final_state(dt):
             traj = simulate(m2, r1, plant, op, start, t_end=20.0, dt=dt)
-            return np.array([traj.final.theta, traj.final.theta_dot])
+            return np.array([traj.thetas[-1], traj.theta_dots[-1]])
 
         ref = final_state(0.0025)
         e1 = np.linalg.norm(final_state(0.04) - ref)
@@ -178,8 +178,8 @@ class TestSimulate:
         v_new = v + dt * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
         th_new = th + dt * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0
         assert v_new > 0.0
-        step = simulate(model, r, plant, op, start, t_end=2 * dt, dt=dt)[1]
-        assert (step.theta, step.theta_dot) == (th_new, v_new)
+        traj = simulate(model, r, plant, op, start, t_end=2 * dt, dt=dt)
+        assert (traj.thetas[1], traj.theta_dots[1]) == (th_new, v_new)
 
     def test_bad_steps_rejected(self, m2, r1, plant):
         op = OperatingPoint(omega=5.0, wob=W_REF_KN)

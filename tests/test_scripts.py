@@ -2,17 +2,23 @@
 
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def run_main(name: str, capsys) -> str:
-    """Import ``scripts/<name>.py``, call its ``main()`` and return stdout."""
+def load(name: str):
+    """Import ``scripts/<name>.py`` as a module."""
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    module.main()
+    return module
+
+
+def run_main(name: str, capsys) -> str:
+    """Call the ``main()`` of ``scripts/<name>.py`` and return stdout."""
+    load(name).main()
     return capsys.readouterr().out
 
 
@@ -30,3 +36,12 @@ def test_fem_convergence_prints_modal_tables(capsys):
     out = run_main("fem_convergence", capsys)
     assert "n_el= 32: omega1 = " in out
     assert "10-DOF model (alpha=0.5, beta=0.0021):" in out
+
+
+def test_run_pipeline_writes_six_manifests(tmp_path, monkeypatch):
+    # at --n 1000 the last population holds over 100 m2 and m3 particles,
+    # the stochastic and mixture maps' default minimum
+    monkeypatch.setattr(sys, "argv", ["run_pipeline.py", "--out", str(tmp_path),
+                                      "--n", "1000"])
+    assert load("run_pipeline").main() == 0
+    assert len(list(tmp_path.glob("*/manifest.json"))) == 6
