@@ -175,6 +175,9 @@ def _normalize_model_prior(model_prior) -> tuple[np.ndarray, np.ndarray]:
     return p, np.cumsum(p)
 
 
+# an overflowing misfit is inf or NaN, which fails the acceptance test; set
+# per call because worker threads do not inherit numpy's error state
+@np.errstate(over="ignore", invalid="ignore")
 def _propose_chunk(seed: int, chunk_index: int, chunk: int, eps: float,
                    cum_prior: np.ndarray, priors: dict[int, PriorSpec],
                    speeds: np.ndarray, y: np.ndarray, ynorm: float, r

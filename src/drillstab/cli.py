@@ -122,6 +122,9 @@ def _usable_cpus() -> int:
 
 # ---------------------------------------------------------------- gen-data
 
+# huge speeds overflow to inf or NaN, which synthesize rejects (an
+# overflowing torque law may also still give finite torques)
+@np.errstate(over="ignore", invalid="ignore")
 def run_gen_data(config: dict) -> list[str]:
     kind = _model_kind(config["model"])
     model = BitRockModel(kind=kind, params=_params_for(kind, config["params"]))

@@ -147,18 +147,31 @@ def synthesize(model: BitRockModel, r, speeds=None, noise_std: float = 0.0,
                          split=split.astype(object), source=source, w_ref=w_ref)
 
 
+def _cells(col):
+    """The string cells of one column. A numeric array is written one
+    ``repr`` per distinct value, then indexed: a float's key is its float64
+    bit pattern (so -0.0 and 0.0 stay apart), an integer's its value, and
+    equal keys give equal reprs. Any other column holds ready-made cells."""
+    if not (isinstance(col, np.ndarray) and col.dtype.kind in "iuf"):
+        return col
+    is_float = col.dtype.kind == "f"
+    keys = col.astype(np.float64).view(np.int64) if is_float else col
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    values = uniq.view(np.float64) if is_float else uniq
+    return np.array([repr(v) for v in values.tolist()],
+                    dtype=object)[inverse].tolist()
+
+
 def write_table(path, header, columns, preamble=()) -> Path:
     """Write a comma-separated table (UTF-8, LF); returns the path.
 
     ``columns`` are whole columns of equal length. A numeric NumPy array
-    (integer or float) is written one ``repr`` per value; any other column
-    holds ready-made string cells. ``preamble`` lines precede the header.
+    (integer or float) is written one ``repr`` per value, each distinct
+    value formatted once; any other column holds ready-made string cells.
+    ``preamble`` lines precede the header.
     """
     path = Path(path)
-    cells = [map(repr, col.tolist())
-             if isinstance(col, np.ndarray) and col.dtype.kind in "iuf" else col
-             for col in columns]
-    rows = map(",".join, zip(*cells))
+    rows = map(",".join, zip(*map(_cells, columns)))
     path.write_text("\n".join([*preamble, ",".join(header), *rows]) + "\n",
                     encoding="utf-8", newline="\n")
     return path

@@ -168,16 +168,22 @@ def modal_properties(model: FemTorsionalModel) -> list[tuple[float, float]]:
     return [(float(w), float(x)) for w, x in zip(omegas, xis)]
 
 
-def state_matrix(model: FemTorsionalModel, bit_damping: float) -> np.ndarray:
+def state_matrix(model: FemTorsionalModel, bit_damping) -> np.ndarray:
     """2n x 2n state matrix [[0, I], [-M^-1 K, -M^-1 C_NL]] where C_NL adds
-    ``bit_damping`` (N m s/rad) to the bit diagonal entry."""
+    ``bit_damping`` (N m s/rad) to the bit diagonal entry.
+
+    An array of bit dampings gives a stack of shape
+    (*bit_damping.shape, 2n, 2n): -M^-1 K is solved once, and each matrix
+    has the bits of its own scalar call.
+    """
+    c = np.asarray(bit_damping, dtype=float)
     n = model.n_el
-    c_nl = model.damping
-    c_nl[-1, -1] += bit_damping
-    a = np.zeros((2 * n, 2 * n))
-    a[:n, n:] = np.eye(n)
-    a[n:, :n] = -np.linalg.solve(model.mass, model.stiffness)
-    a[n:, n:] = -np.linalg.solve(model.mass, c_nl)
+    c_nl = np.broadcast_to(model.damping, (*c.shape, n, n)).copy()
+    c_nl[..., -1, -1] += c
+    a = np.zeros((*c.shape, 2 * n, 2 * n))
+    a[..., :n, n:] = np.eye(n)
+    a[..., n:, :n] = -np.linalg.solve(model.mass, model.stiffness)
+    a[..., n:, n:] = -np.linalg.solve(model.mass, c_nl)
     return a
 
 
@@ -188,25 +194,28 @@ def jacobian_fem(model: FemTorsionalModel, bitrock: BitRockModel, r,
 
 
 def eigenvalues_general(a: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a general real square matrix.
+    """All eigenvalues of a general real square matrix, or of each matrix
+    of a stack of shape (..., n, n), solved in one call.
 
     Each eigenpair is residual-checked (||A v - lambda v|| <= 1e-8 ||A||
-    for unit v); values come back sorted by (real, imag) so complex
-    conjugates sit adjacent.
+    for unit v, with each matrix's own norm); each matrix's values come
+    back sorted by (real, imag) along the last axis, so complex conjugates
+    sit adjacent. One non-finite matrix in a stack fails the whole call.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise DomainError(f"need a square matrix, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise DomainError(f"need a square matrix or a stack of them, "
+                          f"got shape {a.shape}")
     if not np.isfinite(a).all():
         raise DomainError("matrix entries must be finite")
     try:
         vals, vecs = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver did not converge: {exc}") from exc
-    norm_a = np.linalg.norm(a, 2)
-    resid = np.linalg.norm(a @ vecs - vecs * vals[None, :], axis=0)
-    scale = norm_a * np.linalg.norm(vecs, axis=0)
+    norm_a = np.linalg.norm(a, 2, axis=(-2, -1))[..., None]
+    resid = np.linalg.norm(a @ vecs - vecs * vals[..., None, :], axis=-2)
+    scale = norm_a * np.linalg.norm(vecs, axis=-2)
     if (resid > 1e-8 * np.maximum(scale, np.finfo(float).tiny)).any():
         raise NumericError("eigenpair residual exceeded 1e-8 * ||A||")
     order = np.lexsort((vals.imag, vals.real))
-    return vals[order]
+    return np.take_along_axis(vals, order, axis=-1)

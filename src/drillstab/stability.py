@@ -111,8 +111,7 @@ def _rightmost(plant, c: np.ndarray) -> np.ndarray:
         return np.where(disc < 0, 0.5 * tau,
                         0.5 * (tau + np.sqrt(np.maximum(disc, 0.0))))
     if isinstance(plant, FemTorsionalModel):
-        return np.array([eigenvalues_general(state_matrix(plant, ci)).real.max()
-                         for ci in c])
+        return eigenvalues_general(state_matrix(plant, c)).real.max(axis=-1)
     raise DomainError(f"unsupported plant type {type(plant).__name__}")
 
 
@@ -129,6 +128,8 @@ def classify_trace(model: BitRockModel, plant: LumpedDrillString,
     return bool(_stable(plant, d_nm)[0])
 
 
+# a huge plant input overflows to inf or NaN, which the guard scan rejects
+@np.errstate(over="ignore", invalid="ignore")
 def critical_damping(plant) -> float:
     """Critical bit damping c* (N m s/rad): a point is stable exactly when
     its bit damping c = 1000 r T'(Omega) exceeds c*.
@@ -182,6 +183,8 @@ def _probability(weights, thresholds, u) -> np.ndarray:
                for w, t in zip(weights, thresholds))
 
 
+# overflowing slopes reach the span check as inf or NaN
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _threshold_map(components, weights, plant, w_ref, omega_axis, wob_axis,
                    percentile, c_star):
     """Shared body of every map, worked one Omega column at a time.
@@ -210,10 +213,10 @@ def _threshold_map(components, weights, plant, w_ref, omega_axis, wob_axis,
     for i, om in enumerate(omega_axis):
         slopes = [KNM_TO_NM * torque_derivative_batch(
             kind, phis, 1.0, np.array([om]))[:, 0] for kind, phis in components]
-        s_abs = max(s_abs, *(np.abs(s).max() for s in slopes))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            thresholds = [np.sort(np.where(sign * s < 0, sign * c_star / s,
-                                           sign * np.inf)) for s in slopes]
+        # np.max, unlike max, keeps a NaN slope for the span check
+        s_abs = np.max([s_abs, *(np.abs(s).max() for s in slopes)])
+        thresholds = [np.sort(np.where(sign * s < 0, sign * c_star / s,
+                                       sign * np.inf)) for s in slopes]
         flips[:, i] = [np.diff(_probability([1.0], [t], u_axis[[0, -1]])
                                < percentile)[0] for t in thresholds]
         p[i] = _probability(weights, thresholds, u_axis)
@@ -228,9 +231,11 @@ def _threshold_map(components, weights, plant, w_ref, omega_axis, wob_axis,
                             >= percentile)
             wob_star[i] = sign * cand[hit] * w_ref
     span = _GUARD_SPAN * max(1.0, abs(c_star))
-    if abs(c_star) + s_abs * wob_axis[-1] / w_ref > span:
-        raise NumericError(f"the map evaluates bit dampings beyond c* +- {span!r}"
-                           ", the span the half-line guard scanned")
+    # written so that a NaN slope fails the test
+    if not abs(c_star) + s_abs * wob_axis[-1] / w_ref <= span:
+        raise NumericError("the map evaluates bit dampings that are not finite"
+                           f" or lie beyond c* +- {span!r}, the span the "
+                           "half-line guard scanned")
     # a mixture boundary only spans the columns between the first and last
     # flip of every component's own field (all columns of one component)
     inside = (np.maximum.accumulate(flips, axis=1)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -297,6 +298,23 @@ class TestRun:
             keep = full[3] < eps
             got = propose(m3_dataset, priors, 8, 0, eps)
             assert_rows_bit_equal(got, tuple(col[keep] for col in full))
+
+    def test_worker_threads_print_no_warning(self, m3_dataset,
+                                             reference_priors):
+        # numpy's error state does not pass into the sampler's threads
+        priors = dict(reference_priors)
+        priors[2] = abc.PriorSpec.from_center(2, (1e308, -1e308, 100.0), 0.4)
+        states = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for threads in (1, 2):
+                states.append(abc.run(m3_dataset, priors, n=300,
+                                      max_populations=2, seed=2,
+                                      threads=threads))
+        a, b = states
+        for pa, pb in zip(a.populations, b.populations):
+            assert np.array_equal(pa.phis, pb.phis, equal_nan=True)
+            assert np.array_equal(pa.distances, pb.distances)
 
     def test_missing_priors_rejected(self, m3_dataset, reference_priors):
         partial = {k: v for k, v in reference_priors.items() if k != 3}

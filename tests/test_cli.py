@@ -84,6 +84,15 @@ class TestGenData:
         assert ds.torques[0] == pytest.approx(
             (12 - 6) * math.exp(-0.25 * 0.5) + 6)
 
+    @pytest.mark.parametrize("speed_max, code", [
+        ("1e300", 0), ("inf", 2), ("-inf", 2)])
+    def test_overflowing_speeds_print_no_warning(self, tmp_path, speed_max,
+                                                 code):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("gen-data", "--out-dir", tmp_path, "--model", "m3",
+                           f"--speed-max={speed_max}") == code
+
 
 class TestFit:
     def test_noiseless_recovery_via_cli(self, tmp_path):
@@ -480,6 +489,15 @@ class TestMap:
         assert run_cli("map", "--out-dir", tmp_path, "--plant", "fem",
                        "--resolution", "8", "--no-svg") == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("option", ["--xi", "--omega-max"])
+    def test_overflowing_plant_or_window_prints_no_warning(self, tmp_path,
+                                                           option):
+        # the guard scan or the span check rejects the non-finite values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("map", "--out-dir", tmp_path, option, "1e300",
+                           "--no-svg") == 3
 
     def test_split_stable_set_exits_3(self, tmp_path, monkeypatch):
         real = stability._rightmost

@@ -6,7 +6,7 @@ import pytest
 from drillstab.bitrock import torque
 from drillstab.calibration import metric
 from drillstab.dataio import (TorqueDataset, default_speed_grid, read_csv,
-                              synthesize, write_csv)
+                              synthesize, write_csv, write_table)
 from drillstab.errors import DataError, DomainError, IngestionError
 
 
@@ -95,6 +95,45 @@ def test_round_trip_bit_exact(tmp_path):
     path = write_csv(ds, tmp_path / "rt.csv")
     back = read_csv(path)
     assert back == ds
+
+
+def per_cell_table(header, columns) -> bytes:
+    """The table written one ``repr`` per numeric cell."""
+    cells = [list(map(repr, col.tolist())) if isinstance(col, np.ndarray)
+             else col for col in columns]
+    rows = [",".join(row) for row in zip(*cells)]
+    return ("\n".join([",".join(header), *rows]) + "\n").encode("utf-8")
+
+
+_FLOAT_EDGES = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+                -2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
+                0.1, 1e16, 3.0]
+_FLOAT32 = np.finfo(np.float32)
+_INT64 = np.iinfo(np.int64)
+
+
+@pytest.mark.parametrize("column", [
+    np.array(_FLOAT_EDGES * 3),
+    # a NaN with a payload formats as nan, like the plain one
+    (np.array([math.nan, 1.0, math.nan, -0.0, 0.0, -0.0]).view(np.int64)
+     | [0, 0, 7, 0, 0, 0]).view(np.float64),
+    np.repeat(np.linspace(1.0, 20.0, 80), 80),
+    np.tile(np.linspace(0.2, 3.0, 80), 80),
+    np.array([0.1, -0.0, 0.0, _FLOAT32.max, _FLOAT32.smallest_subnormal,
+              math.inf, math.nan, 0.1, 1.5, -0.0], dtype=np.float32),
+    np.array([_INT64.min, _INT64.max, 0, -1, _INT64.max, 0]),
+    np.array([0, 2**64 - 1, 2**63, 0], dtype=np.uint64),
+    np.array([1, 0, 0, 1, 1], dtype=np.int8),
+    np.array([]),
+    np.array([], dtype=int),
+], ids=["float_edges", "nan_payload", "repeat", "tile", "float32", "int64",
+        "uint64", "int8", "empty_float", "empty_int"])
+def test_write_table_matches_per_cell_writer(tmp_path, column):
+    rng = np.random.default_rng(len(column))
+    columns = [column, column[rng.permutation(len(column))],
+               [f"s{i}" for i in range(len(column))]]
+    path = write_table(tmp_path / "t.csv", ["a", "b", "c"], columns)
+    assert path.read_bytes() == per_cell_table(["a", "b", "c"], columns)
 
 
 def test_synthesize_noiseless_lies_on_curve(m3, r1):

@@ -10,7 +10,7 @@ from drillstab.dynamics import OperatingPoint
 from drillstab.errors import DomainError, NumericError
 from drillstab.fem import (DrillStringGeometry, assemble, eigenvalues_general,
                            element_matrices, jacobian_fem, modal_properties,
-                           polar_moment)
+                           polar_moment, state_matrix)
 from drillstab.reference import W_REF_KN
 
 
@@ -202,10 +202,67 @@ class TestEigenvaluesGeneral:
         assert np.allclose(np.sort_complex(vals), paired, rtol=0, atol=1e-10)
 
     def test_bad_inputs(self):
-        with pytest.raises(DomainError):
-            eigenvalues_general(np.ones((2, 3)))
+        for shape in ((2, 3), (3,), (2, 2, 3), (4, 0, 0)):
+            with pytest.raises(DomainError):
+                eigenvalues_general(np.ones(shape))
         with pytest.raises(DomainError):
             eigenvalues_general(np.array([[math.nan, 0.0], [0.0, 1.0]]))
+
+
+def same_bits(a, b) -> bool:
+    """Whether a and b hold the same float64 bits, real and imaginary parts
+    apart (a real array has a +0.0 imaginary part)."""
+    return all(np.array_equal(np.ascontiguousarray(part(a)).view(np.int64),
+                              np.ascontiguousarray(part(b)).view(np.int64))
+               for part in (np.real, np.imag))
+
+
+class TestStacks:
+    @pytest.mark.parametrize("mesh", [(1, 1, 0.5, 0.006),
+                                      (8, 2, 0.5, 0.0021), (1, 1, 0.0, 0.0)])
+    def test_stack_matches_per_matrix_calls(self, geometry, mesh):
+        model = assemble(geometry, *mesh)
+        rng = np.random.default_rng(mesh[0])
+        offsets = np.geomspace(1e-6, 1e6, 20) * 170.0
+        c = np.concatenate([-170.0 + offsets, -170.0 - offsets,
+                            rng.normal(0.0, 1e4, 8)]).reshape(6, 8)
+        stack = state_matrix(model, c)
+        vals = eigenvalues_general(stack)
+        n2 = 2 * model.n_el
+        assert stack.shape == (6, 8, n2, n2) and vals.shape == (6, 8, n2)
+        for idx in np.ndindex(c.shape):
+            one = state_matrix(model, float(c[idx]))
+            assert same_bits(stack[idx], one)
+            assert same_bits(vals[idx], eigenvalues_general(one))
+
+    def test_matrix_input_returns_the_sorted_eig_values(self):
+        rng = np.random.default_rng(4)
+        for a in (np.diag([1.0, -2.0, 3.0]), rng.standard_normal((8, 8)),
+                  np.array([[0.0, 1.0], [-1.0, 0.0]])):
+            vals = np.linalg.eig(a)[0]
+            want = vals[np.lexsort((vals.imag, vals.real))]
+            got = eigenvalues_general(a)
+            assert got.dtype == want.dtype and same_bits(got, want)
+
+    def test_one_non_finite_matrix_fails_the_stack(self):
+        stack = np.stack([np.eye(3)] * 4)
+        stack[2, 0, 1] = math.inf
+        with pytest.raises(DomainError):
+            eigenvalues_general(stack)
+
+    def test_one_failed_residual_fails_the_stack(self, monkeypatch):
+        real = np.linalg.eig
+
+        def perturbed(a):
+            vals, vecs = real(a)
+            vals[1, 0] += 1e-3
+            return vals, vecs
+        rng = np.random.default_rng(9)
+        stack = rng.standard_normal((3, 5, 5))
+        eigenvalues_general(stack)
+        monkeypatch.setattr(np.linalg, "eig", perturbed)
+        with pytest.raises(NumericError, match="residual"):
+            eigenvalues_general(stack)
 
 
 class TestGeometryValidation:

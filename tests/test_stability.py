@@ -10,7 +10,8 @@ from drillstab.bitrock import BitRockModel, WobRatio, torque_derivative
 from drillstab.dynamics import (LumpedDrillString, OperatingPoint,
                                  jacobian_1dof)
 from drillstab.errors import DomainError, InsufficientSamplesError, NumericError
-from drillstab.fem import assemble, eigenvalues_general, jacobian_fem
+from drillstab.fem import (assemble, eigenvalues_general, jacobian_fem,
+                           state_matrix)
 from drillstab.reference import (REFERENCE_GEOMETRY, REFERENCE_PARAMS,
                                  W_REF_KN, reference_plant)
 from drillstab.stability import (BoundaryCurve, boundary_separation,
@@ -133,6 +134,19 @@ class TestCriticalDamping:
             with pytest.raises(NumericError):
                 map_deterministic(m2, p, W_REF_KN, resolution=(10, 10))
 
+    @pytest.mark.parametrize("mesh", [(1, 1, 0.5, 0.006),
+                                      (8, 2, 0.5, 0.0021), (1, 1, 0.0, 0.0)])
+    def test_stacked_guard_equals_per_damping_loop(self, monkeypatch,
+                                                   geometry, mesh):
+        fem = assemble(geometry, *mesh)
+        stacked = critical_damping(fem)
+
+        def per_damping(plant, c):
+            return np.array([eigenvalues_general(
+                state_matrix(plant, ci)).real.max() for ci in c])
+        monkeypatch.setattr(stability, "_rightmost", per_damping)
+        assert critical_damping(fem) == stacked
+
     def test_undamped_plant_maps_match_eigen_route(self, geometry):
         # c* > 0: a particle is unstable at and below its threshold, or
         # everywhere when its slope is <= 0
@@ -233,6 +247,13 @@ class TestCriticalDamping:
         steep = BitRockModel(kind=4, params=(11.8, -1e6, 0.0, 0.0))
         with pytest.raises(NumericError, match="beyond"):
             map_deterministic(steep, plant, W_REF_KN, resolution=(4, 4))
+
+    def test_non_finite_slopes_raise(self, m1, plant):
+        # m1's slope is inf / inf = NaN at Omega = 1e300; a NaN cell must
+        # not pass for stable
+        with pytest.raises(NumericError, match="beyond"):
+            map_deterministic(m1, plant, W_REF_KN,
+                              omega_range=(1.0, 1e300), resolution=(4, 4))
 
     def test_fem_map_cells_match_eigen_route(self, geometry):
         fem = assemble(geometry, 8, 2, alpha=0.5, beta=0.0021)
