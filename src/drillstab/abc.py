@@ -24,13 +24,16 @@ proposals drawn up to it, counted from the start of the stream.
 
 Two shortcuts skip work that no output sees, and change no bit of it:
 
-* Below a finite tolerance a chunk is first evaluated at every other
-  calibration speed. That partial sum of squares is a lower bound on the
-  full one, so a row whose partial sum is not below eps * |y|^2 * (1 + 1e-9)
-  is dropped. The 1e-9 margin dwarfs the ~1e-14 relative rounding of the two
-  sums, so no row the full distance accepts is dropped, and a NaN partial
-  sum is dropped as a NaN distance is rejected. The surviving rows get the
-  full distance by the same expression as before.
+* Below a finite tolerance a chunk's misfit is bounded in stages: first
+  the residuals at ``speeds[::4]``, then, for the rows left, at
+  ``speeds[2::4]``. A row is dropped once its partial sum of squares is not
+  below eps * |y|^2 * (1 + 1e-9). A partial sum is a lower bound on the
+  full one, and the 1e-9 margin dwarfs the ~1e-14 relative rounding of the
+  sums, so no row the full distance accepts is dropped; a NaN partial sum
+  is dropped as a NaN distance is rejected. The rows left are evaluated at
+  ``speeds[1::2]`` only, and the three residual blocks, each element with
+  the bits of a full evaluation, fill one full row whose distance is the
+  same expression as before.
 * Population g+1 opens with population g's particles below eps_{g+1}, in
   order, so ``save_state`` reuses their CSV rows instead of formatting them
   again. It does so only when those leading rows equal the carried ones bit
@@ -190,19 +193,33 @@ def _propose_chunk(seed: int, chunk_index: int, chunk: int, eps: float,
     kinds = np.searchsorted(cum_prior, u[:, 0], side="right") + 1
     kinds = np.minimum(kinds, len(MODEL_KINDS))     # guard u == 1.0 edge
     dists = np.full(chunk, np.inf)
+    bound = eps * ynorm * (1 + _BOUND_MARGIN)
     for kind, prior in priors.items():
         rows = np.flatnonzero(kinds == kind)
+        if not len(rows):
+            continue
         phi = prior.sample_from_unit(u[rows, 1:1 + PARAM_COUNTS[kind]])
-        if eps < math.inf and len(rows):
-            # the misfit at every other speed bounds the full one from below;
-            # written so that a NaN partial sum drops its row too
-            half = y[None, ::2] - torque_batch(kind, phi, r, speeds[::2])
-            live = (np.einsum("ij,ij->i", half, half)
-                    < eps * ynorm * (1 + _BOUND_MARGIN))
+
+        def resid(phi, cols):
+            return y[None, cols] - torque_batch(kind, phi, r, speeds[cols])
+        if eps < math.inf:
+            # the misfit at every fourth speed, then at every other one,
+            # bounds the full one from below; written so that a NaN partial
+            # sum drops its row too
+            quarter = resid(phi, slice(0, None, 4))
+            part = np.einsum("ij,ij->i", quarter, quarter)
+            live = part < bound
+            rows, phi, quarter, part = (rows[live], phi[live], quarter[live],
+                                        part[live])
+            other = resid(phi, slice(2, None, 4))
+            live = part + np.einsum("ij,ij->i", other, other) < bound
             rows, phi = rows[live], phi[live]
-        if len(rows):
-            resid = y[None, :] - torque_batch(kind, phi, r, speeds)
-            dists[rows] = np.einsum("ij,ij->i", resid, resid) / ynorm
+            full = np.empty((len(rows), len(speeds)))
+            full[:, ::4], full[:, 2::4] = quarter[live], other[live]
+            full[:, 1::2] = resid(phi, slice(1, None, 2))
+        else:
+            full = resid(phi, slice(None))
+        dists[rows] = np.einsum("ij,ij->i", full, full) / ynorm
     keep = np.flatnonzero(dists < eps)
     kept_kinds = kinds[keep]
     phis = np.full((len(keep), MAX_PARAMS), np.nan)

@@ -39,6 +39,8 @@ DEFAULT_RESOLUTION = (80, 80)
 # 1e6 times max(1, |c*|) away (the maps evaluate |c| of order 1e4)
 _GUARD_POINTS = 100
 _GUARD_SPAN = 1e6
+# (particle, Omega column) slope cells per component in one block of a map
+_BLOCK_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -177,22 +179,31 @@ def _axes(omega_range, wob_range, resolution, w_ref):
             np.linspace(wob_range[0], wob_range[1], n_w))
 
 
-def _probability(weights, thresholds, u) -> np.ndarray:
-    """Weighted share of each component's sorted thresholds at or below u."""
-    return sum(w * (np.searchsorted(t, u, side="right") / len(t))
-               for w, t in zip(weights, thresholds))
+def _shares(thresholds, u) -> np.ndarray:
+    """Share of each row of sorted ``thresholds`` at or below each u."""
+    return np.array([np.searchsorted(t, u, side="right")
+                     for t in thresholds]) / thresholds.shape[1]
+
+
+def _probability(weights, shares) -> np.ndarray:
+    """Instability probability: the weighted sum of the components' shares."""
+    return sum(w * s for w, s in zip(weights, shares))
 
 
 # overflowing slopes reach the span check as inf or NaN
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _threshold_map(components, weights, plant, w_ref, omega_axis, wob_axis,
                    percentile, c_star):
-    """Shared body of every map, worked one Omega column at a time.
+    """Shared body of every map, worked on blocks of Omega columns.
 
     ``components`` is a list of (kind, phis) (joint sign constraints need
     not hold). A particle with slope s = 1000 T'(Omega) is unstable where
     s r <= c*: with sign that of -c*, at and above u* = sign c*/s in
     u = sign r (u* = sign inf where sign s >= 0).
+
+    A block holds _BLOCK_CELLS // (largest particle count) columns, at
+    least one: each component's slopes over a block are one
+    ``torque_derivative_batch`` call, and no table outgrows a block.
 
     A share counts thresholds at or below u with weights >= 0, and IEEE
     rounding is monotone, so each row is monotone in u: it crosses the
@@ -206,30 +217,37 @@ def _threshold_map(components, weights, plant, w_ref, omega_axis, wob_axis,
         c_star = critical_damping(plant)
     sign = 1.0 if c_star < 0 else -1.0
     u_axis = sign * wob_axis / w_ref
-    p = np.empty((len(omega_axis), len(wob_axis)))
-    wob_star = np.full(len(omega_axis), np.nan)
-    flips = np.zeros((len(components), len(omega_axis)), dtype=bool)
+    n_om = len(omega_axis)
+    step = max(1, _BLOCK_CELLS // max(len(phis) for _, phis in components))
+    p = np.empty((n_om, len(wob_axis)))
+    wob_star = np.full(n_om, np.nan)
+    flips = np.zeros((len(components), n_om), dtype=bool)
     s_abs = 0.0
-    for i, om in enumerate(omega_axis):
+    for start in range(0, n_om, step):
+        block = slice(start, start + step)
+        # (column, particle) slopes and sorted thresholds of each component
         slopes = [KNM_TO_NM * torque_derivative_batch(
-            kind, phis, 1.0, np.array([om]))[:, 0] for kind, phis in components]
+            kind, phis, 1.0, omega_axis[block]).T for kind, phis in components]
         # np.max, unlike max, keeps a NaN slope for the span check
         s_abs = np.max([s_abs, *(np.abs(s).max() for s in slopes)])
         thresholds = [np.sort(np.where(sign * s < 0, sign * c_star / s,
                                        sign * np.inf)) for s in slopes]
-        flips[:, i] = [np.diff(_probability([1.0], [t], u_axis[[0, -1]])
-                               < percentile)[0] for t in thresholds]
-        p[i] = _probability(weights, thresholds, u_axis)
-        j = np.flatnonzero(np.diff(p[i] < percentile))
-        if len(j):
+        shares = [_shares(t, u_axis) for t in thresholds]
+        flips[:, block] = [(s[:, 0] < percentile) != (s[:, -1] < percentile)
+                           for s in shares]
+        p[block] = _probability(weights, shares)
+        change = np.diff(p[block] < percentile, axis=1)
+        for k in np.flatnonzero(change.any(axis=1)):
             # the first pooled threshold in the flipping cell pair at
             # which the probability reaches the percentile
-            lo, hi = sorted(u_axis[j[0]:j[0] + 2])
-            pooled = np.concatenate(thresholds)
+            j = np.argmax(change[k])
+            lo, hi = sorted(u_axis[j:j + 2])
+            pooled = np.concatenate([t[k] for t in thresholds])
             cand = np.sort(pooled[(pooled > lo) & (pooled <= hi)])
-            hit = np.argmax(_probability(weights, thresholds, cand)
-                            >= percentile)
-            wob_star[i] = sign * cand[hit] * w_ref
+            at_cand = _probability(weights, [_shares(t[k:k + 1], cand)
+                                             for t in thresholds])[0]
+            hit = np.argmax(at_cand >= percentile)
+            wob_star[start + k] = sign * cand[hit] * w_ref
     span = _GUARD_SPAN * max(1.0, abs(c_star))
     # written so that a NaN slope fails the test
     if not abs(c_star) + s_abs * wob_axis[-1] / w_ref <= span:

@@ -73,6 +73,16 @@ def stream_population(stream, eps, n):
     return kinds[idx], phis[idx], dists[idx], int(positions[idx[-1]]) + 1
 
 
+def overflowing(priors):
+    """The priors with m2's and m4's boxes replaced: m2's t_sb - t_cb
+    overflows to inf and exp(-g_b s) underflows to 0, so some torques are
+    NaN; m4's c3 s^3 makes the squares overflow."""
+    priors = dict(priors)
+    priors[2] = abc.PriorSpec.from_center(2, (1e308, -1e308, 100.0), 0.4)
+    priors[4] = abc.PriorSpec.from_center(4, (11.8, -0.93, 0.057, 1e200), 0.4)
+    return priors
+
+
 def per_cell_population_csv(pop):
     """The population CSV written one cell at a time."""
     lines = ["model_tag," + ",".join(f"phi{j}" for j in range(abc.MAX_PARAMS))
@@ -272,12 +282,7 @@ class TestRun:
 
     def test_bounded_chunk_rejects_overflowing_torques(self, m3_dataset,
                                                        reference_priors):
-        # m2's t_sb - t_cb overflows to inf and exp(-g_b s) underflows to 0,
-        # so some torques are NaN; m4's c3 s^3 makes the squares overflow
-        priors = dict(reference_priors)
-        priors[2] = abc.PriorSpec.from_center(2, (1e308, -1e308, 100.0), 0.4)
-        priors[4] = abc.PriorSpec.from_center(4, (11.8, -0.93, 0.057, 1e200),
-                                              0.4)
+        priors = overflowing(reference_priors)
         y = m3_dataset.calibration_torques
         rng = np.random.default_rng(0)
         nan_seen = False
@@ -298,6 +303,57 @@ class TestRun:
             keep = full[3] < eps
             got = propose(m3_dataset, priors, 8, 0, eps)
             assert_rows_bit_equal(got, tuple(col[keep] for col in full))
+
+    @pytest.mark.parametrize("boxes", ["reference", "overflowing"])
+    @pytest.mark.parametrize("n_speeds", [1, 2, 3, 5, 7])
+    def test_staged_bound_with_few_speeds(self, reference_priors, n_speeds,
+                                          boxes):
+        """The staged bound reads every fourth speed, then the rest of every
+        other one, then the odd ones; some blocks are empty with few
+        speeds. It must keep exactly the rows below eps of the full
+        evaluation, bit for bit, also one ulp either side of a distance."""
+        priors = (reference_priors if boxes == "reference"
+                  else overflowing(reference_priors))
+        data = synthesize(reference_model(3), 1.0,
+                          speeds=np.linspace(1.0, 20.0, 2 * n_speeds - 1),
+                          noise_std=0.8, seed=n_speeds)
+        assert len(data.calibration_speeds) == n_speeds
+        full = propose(data, priors, 3, 1, math.inf)
+        d = np.sort(full[3])
+        for pivot in (d[0], d[5], d[len(d) // 8], d[len(d) // 2], d[-1]):
+            for eps in (np.nextafter(pivot, 0.0), pivot,
+                        np.nextafter(pivot, math.inf)):
+                keep = full[3] < eps
+                got = propose(data, priors, 3, 1, float(eps))
+                assert_rows_bit_equal(got, tuple(col[keep] for col in full))
+
+    def test_staged_bound_evaluates_fewer_torque_cells(
+            self, monkeypatch, m3_dataset, reference_priors):
+        """At a low eps the staged bound evaluates fewer torque cells than
+        bounding at every other speed and then evaluating the survivors at
+        every speed."""
+        calls = []
+
+        def counted(kind, phi, r, speeds):
+            calls.append((kind, phi, speeds))
+            return torque_batch(kind, phi, r, speeds)
+        monkeypatch.setattr(abc, "torque_batch", counted)
+        propose(m3_dataset, reference_priors, 9, 0, math.inf)
+        full_calls = calls[:]
+        calls.clear()
+        eps = 0.013
+        propose(m3_dataset, reference_priors, 9, 0, eps)
+        staged = sum(len(phi) * len(speeds) for _, phi, speeds in calls)
+        y = m3_dataset.calibration_torques
+        bound = eps * float(np.dot(y, y)) * (1 + abc._BOUND_MARGIN)
+        half_speed = 0
+        for kind, phi, speeds in full_calls:
+            half = y[::2] - torque_batch(kind, phi, 1.0, speeds[::2])
+            survivors = (np.einsum("ij,ij->i", half, half) < bound).sum()
+            half_speed += len(phi) * len(speeds[::2]) + survivors * len(speeds)
+        assert len(full_calls) == 4 and len(calls) == 12
+        # 364850 against 566200 cells
+        assert staged < 0.7 * half_speed
 
     def test_worker_threads_print_no_warning(self, m3_dataset,
                                              reference_priors):

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drillstab import stability
-from drillstab.bitrock import BitRockModel, WobRatio, torque_derivative
-from drillstab.dynamics import (LumpedDrillString, OperatingPoint,
+from drillstab import cli, stability
+from drillstab.bitrock import (BitRockModel, WobRatio, torque_derivative,
+                               torque_derivative_batch)
+from drillstab.dynamics import (KNM_TO_NM, LumpedDrillString, OperatingPoint,
                                  jacobian_1dof)
-from drillstab.errors import DomainError, InsufficientSamplesError, NumericError
+from drillstab.errors import (DomainError, DrillstabError,
+                              InsufficientSamplesError, NumericError)
 from drillstab.fem import (assemble, eigenvalues_general, jacobian_fem,
                            state_matrix)
 from drillstab.reference import (REFERENCE_GEOMETRY, REFERENCE_PARAMS,
@@ -484,6 +486,176 @@ def test_probability_rows_are_monotone_in_wob(plant_name, seed, percentile):
     assert ((step >= 0) if c_star < 0 else (step <= 0)).all()
     assert (np.diff(grid.stable, axis=1).sum(axis=1) <= 1).all()
     assert len(np.unique(curve.points[:, 0])) == len(curve)
+
+
+def per_column_probability(weights, thresholds, u):
+    return sum(w * (np.searchsorted(t, u, side="right") / len(t))
+               for w, t in zip(weights, thresholds))
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def per_column_threshold_map(components, weights, plant, w_ref, omega_axis,
+                             wob_axis, percentile, c_star):
+    """Slow oracle of ``stability._threshold_map``: the same arguments and
+    results, worked one Omega column at a time with one slope call each."""
+    if not 0 <= percentile <= 1:
+        raise DomainError(f"percentile must lie in [0, 1], got {percentile}")
+    if any(len(phis) == 0 for _, phis in components):
+        raise InsufficientSamplesError("every mapped model needs a particle")
+    if c_star is None:
+        c_star = critical_damping(plant)
+    sign = 1.0 if c_star < 0 else -1.0
+    u_axis = sign * wob_axis / w_ref
+    p = np.empty((len(omega_axis), len(wob_axis)))
+    wob_star = np.full(len(omega_axis), np.nan)
+    flips = np.zeros((len(components), len(omega_axis)), dtype=bool)
+    s_abs = 0.0
+    for i, om in enumerate(omega_axis):
+        slopes = [KNM_TO_NM * torque_derivative_batch(
+            kind, phis, 1.0, np.array([om]))[:, 0] for kind, phis in components]
+        s_abs = np.max([s_abs, *(np.abs(s).max() for s in slopes)])
+        thresholds = [np.sort(np.where(sign * s < 0, sign * c_star / s,
+                                       sign * np.inf)) for s in slopes]
+        flips[:, i] = [np.diff(per_column_probability(
+            [1.0], [t], u_axis[[0, -1]]) < percentile)[0] for t in thresholds]
+        p[i] = per_column_probability(weights, thresholds, u_axis)
+        j = np.flatnonzero(np.diff(p[i] < percentile))
+        if len(j):
+            lo, hi = sorted(u_axis[j[0]:j[0] + 2])
+            pooled = np.concatenate(thresholds)
+            cand = np.sort(pooled[(pooled > lo) & (pooled <= hi)])
+            hit = np.argmax(per_column_probability(weights, thresholds, cand)
+                            >= percentile)
+            wob_star[i] = sign * cand[hit] * w_ref
+    span = stability._GUARD_SPAN * max(1.0, abs(c_star))
+    if not abs(c_star) + s_abs * wob_axis[-1] / w_ref <= span:
+        raise NumericError("the map evaluates bit dampings that are not finite"
+                           f" or lie beyond c* +- {span!r}, the span the "
+                           "half-line guard scanned")
+    inside = (np.maximum.accumulate(flips, axis=1)
+              & np.maximum.accumulate(flips[:, ::-1], axis=1)[:, ::-1])
+    keep = inside.all(axis=0) & ~np.isnan(wob_star)
+    return p, BoundaryCurve(np.column_stack([omega_axis[keep], wob_star[keep]]))
+
+
+def map_outcome(threshold_map, components, weights, plant, resolution,
+                percentile, omega_range=(1.0, 20.0), c_star=None):
+    """A threshold map's (p, boundary points) as shapes and bytes, or the
+    type and message of the error it raised."""
+    omega_axis, wob_axis = stability._axes(omega_range, (None, None),
+                                           resolution, W_REF_KN)
+    try:
+        p, curve = threshold_map(components, weights, plant, W_REF_KN,
+                                 omega_axis, wob_axis, percentile, c_star)
+    except DrillstabError as err:
+        return type(err), str(err)
+    return p.shape, p.tobytes(), curve.points.shape, curve.points.tobytes()
+
+
+def assert_blocked_map_is_per_column(*args, **kwargs):
+    got = map_outcome(stability._threshold_map, *args, **kwargs)
+    assert got == map_outcome(per_column_threshold_map, *args, **kwargs)
+    return got
+
+
+def cloud(kind, size, seed, spread=0.4):
+    rng = np.random.default_rng(seed)
+    base = np.array(REFERENCE_PARAMS[kind])
+    return base * rng.uniform(1 - spread, 1 + spread, size=(size, len(base)))
+
+
+@pytest.fixture(scope="module")
+def fem10():
+    plant = assemble(REFERENCE_GEOMETRY, 8, 2, alpha=0.5, beta=0.0021)
+    return plant, critical_damping(plant)
+
+
+class TestBlockedThresholdMap:
+    """``_threshold_map`` works on blocks of Omega columns; every result and
+    raised error must equal the per-column oracle's, bit for bit."""
+
+    @pytest.mark.parametrize("kind", [1, 2, 3, 4])
+    @pytest.mark.parametrize("plant_name", ["1dof", "fem10"])
+    def test_deterministic_laws(self, kind, plant_name, plant, fem10):
+        c_star = None
+        if plant_name == "fem10":
+            plant, c_star = fem10
+        got = assert_blocked_map_is_per_column(
+            [(kind, [REFERENCE_PARAMS[kind]])], [1.0], plant, (80, 80), 1.0,
+            c_star=c_star)
+        assert len(got) == 4 and got[2][0] > 20
+
+    # block steps 4096, 1 and 1 (several blocks), 4 and 2 (ragged last
+    # block at 37 columns), 1 (one column per block above the budget)
+    @pytest.mark.parametrize("size", [1, 1000, 1500, 4095, 4096, 4097, 15000])
+    @pytest.mark.parametrize("percentile", [0.02, 0.5])
+    def test_stochastic_clouds(self, plant, size, percentile):
+        got = assert_blocked_map_is_per_column(
+            [(3, cloud(3, size, size))], [1.0], plant, (37, 29), percentile)
+        assert len(got) == 4 and got[2][0] > 0
+
+    @pytest.mark.parametrize("budget", [1, 2, 5, 7, 64])
+    def test_small_block_budgets(self, monkeypatch, plant, budget):
+        monkeypatch.setattr(stability, "_BLOCK_CELLS", budget)
+        comps = [(2, cloud(2, 3, 1)), (3, cloud(3, 2, 2)), (4, cloud(4, 1, 3))]
+        for weights in ([1.0, 0.0, 0.0], [0.2, 0.5, 0.3]):
+            assert_blocked_map_is_per_column(comps, weights, plant, (23, 11),
+                                             0.5)
+
+    @pytest.mark.parametrize("percentile", [0.0, 0.02, 0.35, 1.0])
+    def test_mixtures_with_unequal_weights(self, plant, percentile):
+        comps = [(2, cloud(2, 900, 4)), (3, cloud(3, 1500, 5)),
+                 (4, cloud(4, 1, 6))]
+        got = assert_blocked_map_is_per_column(
+            comps, [0.2, 0.5, 0.3], plant, (31, 26), percentile)
+        assert len(got) == 4
+
+    def test_undamped_fem_plant_with_sign_changing_slopes(self, geometry):
+        fem = assemble(geometry, 1, 1, alpha=0.0, beta=0.0)
+        c_star = critical_damping(fem)
+        assert c_star > 0
+        for kind in (1, 2, 3, 4):
+            assert_blocked_map_is_per_column(
+                [(kind, [REFERENCE_PARAMS[kind]])], [1.0], fem, (30, 30), 1.0,
+                c_star=c_star)
+        m4 = cloud(4, 100, 5, spread=0.8)
+        slopes = torque_derivative_batch(4, m4, 1.0, np.linspace(1, 20, 33))
+        assert ((slopes > 0).any(axis=1) & (slopes < 0).any(axis=1)).any()
+        for percentile in (0.02, 0.5):
+            got = assert_blocked_map_is_per_column(
+                [(4, m4), (2, cloud(2, 40, 6))], [0.6, 0.4], fem, (33, 17),
+                percentile, c_star=c_star)
+            assert len(got) == 4
+
+    @pytest.mark.parametrize("kind", [1, 2, 3, 4])
+    def test_huge_omega(self, plant, kind):
+        # m1's slope is NaN and m4's overflows at Omega = 1e300; m2's and
+        # m3's decay to 0 and map
+        got = assert_blocked_map_is_per_column(
+            [(kind, [REFERENCE_PARAMS[kind]])], [1.0], plant, (80, 80), 1.0,
+            omega_range=(1.0, 1e300))
+        if kind in (1, 4):
+            assert got[0] is NumericError and "beyond" in got[1]
+        else:
+            assert len(got) == 4
+
+    def test_argument_errors(self, plant):
+        for comps, percentile in (([(2, cloud(2, 5, 0))], 1.5),
+                                  ([(2, cloud(2, 5, 0)), (3, np.empty((0, 6)))],
+                                   0.5)):
+            got = assert_blocked_map_is_per_column(
+                comps, [1.0] * len(comps), plant, (5, 5), percentile)
+            assert got[0] in (DomainError, InsufficientSamplesError)
+
+    def test_one_slope_call_per_law_at_80x80(self, monkeypatch, tmp_path):
+        calls = []
+
+        def counted(kind, params, r, speeds):
+            calls.append((kind, len(params), len(speeds)))
+            return torque_derivative_batch(kind, params, r, speeds)
+        monkeypatch.setattr(stability, "torque_derivative_batch", counted)
+        assert cli.main(["map", "--out-dir", str(tmp_path), "--no-svg"]) == 0
+        assert calls == [(kind, 1, 80) for kind in (1, 2, 3, 4)]
 
 
 class TestBoundarySeparation:
