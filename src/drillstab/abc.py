@@ -3,10 +3,10 @@
 Candidate (model, parameter) pairs are drawn from a discrete model prior
 and per-model independent uniform boxes, simulated, and accepted when the
 relative quadratic misfit rho falls below the current tolerance. The
-first population accepts everything (epsilon_1 = inf); each subsequent
-tolerance is the median of the previous population's accepted distances,
-and the schedule stops once a population has been generated at a
-tolerance at or below ``eps_floor`` (or ``max_populations`` is hit).
+first population accepts every finite misfit (epsilon_1 = inf); each
+subsequent tolerance is the median of the previous population's accepted
+distances, and the schedule stops once a population has been generated at
+a tolerance at or below ``eps_floor`` (or ``max_populations`` is hit).
 
 Posterior model probabilities are the per-population acceptance
 frequencies of each model tag. Marginals, Pearson correlations, and
@@ -24,16 +24,17 @@ proposals drawn up to it, counted from the start of the stream.
 
 Two shortcuts skip work that no output sees, and change no bit of it:
 
-* Below a finite tolerance a chunk's misfit is bounded in stages: first
-  the residuals at ``speeds[::4]``, then, for the rows left, at
-  ``speeds[2::4]``. A row is dropped once its partial sum of squares is not
-  below eps * |y|^2 * (1 + 1e-9). A partial sum is a lower bound on the
-  full one, and the 1e-9 margin dwarfs the ~1e-14 relative rounding of the
-  sums, so no row the full distance accepts is dropped; a NaN partial sum
-  is dropped as a NaN distance is rejected. The rows left are evaluated at
-  ``speeds[1::2]`` only, and the three residual blocks, each element with
-  the bits of a full evaluation, fill one full row whose distance is the
-  same expression as before.
+* A chunk's misfit is bounded in stages: first the residuals at
+  ``speeds[::4]``, then, for the rows left, at ``speeds[2::4]``. A row is
+  dropped once its partial sum of squares is not below
+  eps * |y|^2 * (1 + 1e-9). A partial sum is a lower bound on the full
+  one, and the 1e-9 margin dwarfs the ~1e-14 relative rounding of the
+  sums, so no row the full distance accepts is dropped. An inf or NaN
+  partial sum is dropped as its inf or NaN distance is rejected; at the
+  first population's eps = inf the bound is inf and drops only those rows.
+  The rows left are evaluated at ``speeds[1::2]`` only, and the three
+  residual blocks, each element with the bits of a full evaluation, fill
+  one full row whose distance is the same expression as a full one's.
 * Population g+1 opens with population g's particles below eps_{g+1}, in
   order, so ``save_state`` reuses their CSV rows instead of formatting them
   again. It does so only when those leading rows equal the carried ones bit
@@ -202,23 +203,20 @@ def _propose_chunk(seed: int, chunk_index: int, chunk: int, eps: float,
 
         def resid(phi, cols):
             return y[None, cols] - torque_batch(kind, phi, r, speeds[cols])
-        if eps < math.inf:
-            # the misfit at every fourth speed, then at every other one,
-            # bounds the full one from below; written so that a NaN partial
-            # sum drops its row too
-            quarter = resid(phi, slice(0, None, 4))
-            part = np.einsum("ij,ij->i", quarter, quarter)
-            live = part < bound
-            rows, phi, quarter, part = (rows[live], phi[live], quarter[live],
-                                        part[live])
-            other = resid(phi, slice(2, None, 4))
-            live = part + np.einsum("ij,ij->i", other, other) < bound
-            rows, phi = rows[live], phi[live]
-            full = np.empty((len(rows), len(speeds)))
-            full[:, ::4], full[:, 2::4] = quarter[live], other[live]
-            full[:, 1::2] = resid(phi, slice(1, None, 2))
-        else:
-            full = resid(phi, slice(None))
+        # the misfit at every fourth speed, then at every other one, bounds
+        # the full one from below; written so that an inf or NaN partial
+        # sum drops its row too
+        quarter = resid(phi, slice(0, None, 4))
+        part = np.einsum("ij,ij->i", quarter, quarter)
+        live = part < bound
+        rows, phi, quarter, part = (rows[live], phi[live], quarter[live],
+                                    part[live])
+        other = resid(phi, slice(2, None, 4))
+        live = part + np.einsum("ij,ij->i", other, other) < bound
+        rows, phi = rows[live], phi[live]
+        full = np.empty((len(rows), len(speeds)))
+        full[:, ::4], full[:, 2::4] = quarter[live], other[live]
+        full[:, 1::2] = resid(phi, slice(1, None, 2))
         dists[rows] = np.einsum("ij,ij->i", full, full) / ynorm
     keep = np.flatnonzero(dists < eps)
     kept_kinds = kinds[keep]
@@ -337,15 +335,17 @@ def model_posterior(state: AbcState, g: int) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class PosteriorStats:
-    """Histograms and Pearson correlations of one model's particles."""
+    """Histograms and Pearson correlations of one model's particles.
 
-    kind: int
-    n_particles: int
+    Each parameter's bin counts sum to the particle count. Off the
+    diagonal, the correlation is NaN in the row and column of a parameter
+    with zero spread, and everywhere when fewer than two parameters spread.
+    """
+
     param_names: tuple[str, ...]
     bin_edges: list[np.ndarray]          # per parameter, over the prior box
     bin_counts: list[np.ndarray]
-    correlation: np.ndarray              # NaN rows/cols for degenerate params
-    degenerate: tuple[int, ...]          # zero-variance parameter indices
+    correlation: np.ndarray
 
 
 def posterior_stats(state: AbcState, g: int, kind: int,
@@ -362,8 +362,7 @@ def posterior_stats(state: AbcState, g: int, kind: int,
     p = phi.shape[1]
     # a constant column has exactly zero peak-to-peak spread (std can pick
     # up summation noise of order 1e-17)
-    spread = phi.max(axis=0) - phi.min(axis=0)
-    degenerate = tuple(int(j) for j in np.flatnonzero(spread == 0))
+    ok = np.flatnonzero(phi.max(axis=0) - phi.min(axis=0) != 0)
 
     edges, counts = [], []
     for j in range(p):
@@ -374,19 +373,10 @@ def posterior_stats(state: AbcState, g: int, kind: int,
 
     corr = np.full((p, p), np.nan)
     np.fill_diagonal(corr, 1.0)
-    ok = [j for j in range(p) if j not in degenerate]
     if len(ok) >= 2:
         corr[np.ix_(ok, ok)] = np.corrcoef(phi[:, ok], rowvar=False)
-    return PosteriorStats(kind=kind, n_particles=m,
-                          param_names=PARAM_NAMES[kind], bin_edges=edges,
-                          bin_counts=counts, correlation=corr,
-                          degenerate=degenerate)
-
-
-def check_coverage(coverage: float) -> None:
-    """Reject an envelope coverage outside [0, 1)."""
-    if not 0 <= coverage < 1:
-        raise DomainError(f"coverage must lie in [0, 1), got {coverage}")
+    return PosteriorStats(param_names=PARAM_NAMES[kind], bin_edges=edges,
+                          bin_counts=counts, correlation=corr)
 
 
 def predictive_envelope(state: AbcState, g: int, kind: int, speeds,
@@ -397,7 +387,8 @@ def predictive_envelope(state: AbcState, g: int, kind: int, speeds,
     The band spans the central ``coverage`` mass; coverage 0 collapses both
     bounds onto the pointwise median.
     """
-    check_coverage(coverage)
+    if not 0 <= coverage < 1:
+        raise DomainError(f"coverage must lie in [0, 1), got {coverage}")
     pop = state.population(g)
     phi = pop.particles_of(kind)
     if len(phi) < ENVELOPE_MIN_PARTICLES:

@@ -161,10 +161,6 @@ class BitRockModel:
     def __post_init__(self):
         object.__setattr__(self, "params", validate_params(self.kind, self.params))
 
-    @property
-    def param_names(self) -> tuple[str, ...]:
-        return PARAM_NAMES[self.kind]
-
 
 def as_ratio(r) -> float:
     """The ratio W / W_ref of a WobRatio, or r itself as a float."""
@@ -187,8 +183,10 @@ def _speed(speed):
 def torque_eval(kind: int, params, r, speed):
     """Torque for a raw (kind, params) pair; no invariant validation.
 
-    Exists for optimizer and sampler paths that evaluate many candidate
-    vectors; library users should go through ``torque``.
+    Called by ``torque`` and by ``calibration.metric_arrays``, the misfit
+    behind the public ``metric``; ``fit`` binds ``TORQUE_LAWS`` itself and
+    the ABC sampler calls ``torque_batch``. Library users should go through
+    ``torque``.
     """
     s, m = _speed(speed)
     return TORQUE_LAWS[kind](as_ratio(r), params, s, m)

@@ -177,7 +177,6 @@ def run_fit(config: dict) -> list[str]:
 
 def run_abc(config: dict) -> list[str]:
     coverage = config["envelope_coverage"]
-    abc_mod.check_coverage(coverage)
     sampler = {}
     if config["model_prior"] is not None:
         sampler["model_prior"] = _floats(config["model_prior"], "--model-prior")
@@ -465,6 +464,7 @@ _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
 _int_from_2 = _checked(int, lambda v: v >= 2, ">= 2")
 _fraction = _checked(float, lambda v: 0 <= v <= 1, "in [0, 1]")
 _open_fraction = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
+_coverage = _checked(float, lambda v: 0 <= v < 1, "in [0, 1)")
 _nonnegative_float = _checked(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
 _positive_float = _checked(float, lambda v: 0 < v < math.inf, "finite and > 0")
 
@@ -522,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="multi-starts for the internal LS fits")
     p.add_argument("--threads", type=_nonnegative_int,
                    help="default or 0: available parallelism; 1 forces serial")
-    p.add_argument("--envelope-coverage", type=float, default=0.98)
+    p.add_argument("--envelope-coverage", type=_coverage, default=0.98)
     p.add_argument("--no-svg", action="store_true")
 
     p = _add_command(sub, "map", "stability maps and boundary curves")

@@ -228,7 +228,6 @@ def read_csv(path, speed_unit: str = "rad_s") -> TorqueDataset:
                 raise IngestionError(
                     f"line {lineno}: header must start with 'speed,torque_knm', "
                     f"got {line!r}")
-            has_split = len(header) > 2 and header[2] == "split"
             continue
         cells = [c.strip() for c in line.split(",")]
         if len(cells) < 2:

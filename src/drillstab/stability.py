@@ -15,7 +15,7 @@ monotone along W, so each Omega column crosses the percentile at most once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -267,16 +267,13 @@ def map_deterministic(model: BitRockModel, plant, w_ref: float,
                       resolution=DEFAULT_RESOLUTION, c_star=None
                       ) -> tuple[StabilityGrid, BoundaryCurve]:
     """Classify a dense grid for one parameter vector and extract the
-    boundary W*(Omega) = W_ref c* / (1000 T'(Omega)). Each ``None`` end of
-    ``wob_range`` (any map) defaults to DEFAULT_WOB_FRACTIONS times
-    ``w_ref``; ``c_star`` takes a precomputed ``critical_damping(plant)``."""
-    omega_axis, wob_axis = _axes(omega_range, wob_range, resolution, w_ref)
-    # one particle: its share is 0 or 1, unstable once it reaches 1
-    p, curve = _threshold_map([(model.kind, [model.params])], [1.0], plant,
-                              w_ref, omega_axis, wob_axis, 1.0, c_star)
-    grid = StabilityGrid(omega_axis=omega_axis, wob_axis=wob_axis,
-                         stable=p < 1.0, p_unstable=None)
-    return grid, curve
+    boundary W*(Omega) = W_ref c* / (1000 T'(Omega)). This is the mixture
+    map of that one particle at percentile 1 (its share is 0 or 1), without
+    the probability field; the keywords are those of ``map_mixture``."""
+    grid, curve = map_mixture([(model.kind, [model.params])], [1.0], plant,
+                              w_ref, omega_range, wob_range, resolution, 1.0,
+                              c_star)
+    return replace(grid, p_unstable=None), curve
 
 
 def map_stochastic(kind: int, phis: np.ndarray, plant, w_ref: float,
@@ -284,13 +281,10 @@ def map_stochastic(kind: int, phis: np.ndarray, plant, w_ref: float,
                    resolution=DEFAULT_RESOLUTION, percentile: float = 0.02,
                    c_star=None) -> tuple[StabilityGrid, BoundaryCurve]:
     """Instability-probability field over a nonempty posterior particle set
-    plus the contour where the probability crosses ``percentile``."""
-    omega_axis, wob_axis = _axes(omega_range, wob_range, resolution, w_ref)
-    p, curve = _threshold_map([(kind, phis)], [1.0], plant, w_ref,
-                              omega_axis, wob_axis, percentile, c_star)
-    grid = StabilityGrid(omega_axis=omega_axis, wob_axis=wob_axis,
-                         stable=p < percentile, p_unstable=p)
-    return grid, curve
+    plus the contour where the probability crosses ``percentile``: the
+    mixture map of that one component."""
+    return map_mixture([(kind, phis)], [1.0], plant, w_ref, omega_range,
+                       wob_range, resolution, percentile, c_star)
 
 
 def map_mixture(components, weights, plant, w_ref: float,
@@ -303,7 +297,9 @@ def map_mixture(components, weights, plant, w_ref: float,
     nonnegative and sum to 1. The mixture boundary is truncated to the
     Omega columns where every component's own percentile contour exists
     (beyond that the mixture carries no information about the missing
-    component).
+    component). Each ``None`` end of ``wob_range`` defaults to
+    DEFAULT_WOB_FRACTIONS times ``w_ref``; ``c_star`` takes a precomputed
+    ``critical_damping(plant)``.
     """
     weights = np.asarray(weights, dtype=float)
     if len(weights) != len(components):

@@ -46,11 +46,36 @@ def propose(dataset, priors, seed, chunk_index, eps):
                               float(np.dot(y, y)), 1.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def full_chunk(dataset, priors, seed, chunk_index):
+    """Oracle for one chunk of the proposal stream under uniform model
+    weights: every misfit evaluated at all speeds at once, without the
+    sampler's staged bound. The rows whose distance lies below eps = inf,
+    as (positions, kinds, phis, distances)."""
+    _, cum_prior = abc._normalize_model_prior((0.25, 0.25, 0.25, 0.25))
+    y = dataset.calibration_torques
+    u = np.random.default_rng((seed, chunk_index)).random(
+        (abc._CHUNK, 1 + abc.MAX_PARAMS))
+    kinds = np.minimum(np.searchsorted(cum_prior, u[:, 0], side="right") + 1,
+                       len(MODEL_KINDS))
+    phis = np.full((abc._CHUNK, abc.MAX_PARAMS), np.nan)
+    dists = np.empty(abc._CHUNK)
+    for kind, prior in priors.items():
+        rows, p = kinds == kind, PARAM_COUNTS[kind]
+        phis[rows, :p] = prior.sample_from_unit(u[rows, 1:1 + p])
+        resid = y - torque_batch(kind, phis[rows, :p], 1.0,
+                                 dataset.calibration_speeds)
+        dists[rows] = np.einsum("ij,ij->i", resid, resid) / np.dot(y, y)
+    keep = np.flatnonzero(dists < math.inf)
+    return (chunk_index * abc._CHUNK + keep, kinds[keep], phis[keep],
+            dists[keep])
+
+
 def proposal_stream(dataset, priors, seed, chunks):
-    """The first chunks of the proposal stream, each drawn with eps = inf,
-    so every distance is computed in full, and concatenated: (positions,
-    kinds, phis, distances)."""
-    parts = [propose(dataset, priors, seed, c, math.inf) for c in range(chunks)]
+    """The first chunks of the proposal stream, each evaluated in full by
+    ``full_chunk``, and concatenated: (positions, kinds, phis,
+    distances)."""
+    parts = [full_chunk(dataset, priors, seed, c) for c in range(chunks)]
     return tuple(np.concatenate(cols) for cols in zip(*parts))
 
 
@@ -266,11 +291,10 @@ class TestRun:
 
     def test_bounded_chunk_equals_the_filtered_full_chunk(self, m3_dataset,
                                                           reference_priors):
-        """Below a finite eps the chunk is first bounded at every other
-        speed; it must keep exactly the rows of the full evaluation below
-        eps, bit for bit, also at eps equal to a distance and one ulp
-        either side of it."""
-        full = propose(m3_dataset, reference_priors, 7, 3, math.inf)
+        """The chunk's misfit is bounded in stages; it must keep exactly
+        the rows of the full evaluation below eps, bit for bit, also at eps
+        equal to a distance and one ulp either side of it."""
+        full = full_chunk(m3_dataset, reference_priors, 7, 3)
         d = np.sort(full[3])
         assert len(d) == abc._CHUNK
         for pivot in (d[0], d[1], d[40], d[len(d) // 2], d[-1]):
@@ -296,10 +320,10 @@ class TestRun:
             assert not np.isfinite(d).any()
             nan_seen |= bool(np.isnan(d).any())
         assert nan_seen
-        full = propose(m3_dataset, priors, 8, 0, math.inf)
+        full = full_chunk(m3_dataset, priors, 8, 0)
         assert set(full[1].tolist()) == {1, 3}
         assert len(full[0]) < 0.6 * abc._CHUNK
-        for eps in (float(np.median(full[3])), 1e300, 1.7e308):
+        for eps in (float(np.median(full[3])), 1e300, 1.7e308, math.inf):
             keep = full[3] < eps
             got = propose(m3_dataset, priors, 8, 0, eps)
             assert_rows_bit_equal(got, tuple(col[keep] for col in full))
@@ -311,14 +335,18 @@ class TestRun:
         """The staged bound reads every fourth speed, then the rest of every
         other one, then the odd ones; some blocks are empty with few
         speeds. It must keep exactly the rows below eps of the full
-        evaluation, bit for bit, also one ulp either side of a distance."""
+        evaluation, bit for bit, also one ulp either side of a distance,
+        and at eps = inf, which must still reject the overflowing boxes'
+        inf and NaN distances."""
         priors = (reference_priors if boxes == "reference"
                   else overflowing(reference_priors))
         data = synthesize(reference_model(3), 1.0,
                           speeds=np.linspace(1.0, 20.0, 2 * n_speeds - 1),
                           noise_std=0.8, seed=n_speeds)
         assert len(data.calibration_speeds) == n_speeds
-        full = propose(data, priors, 3, 1, math.inf)
+        full = full_chunk(data, priors, 3, 1)
+        assert (len(full[0]) < abc._CHUNK) == (boxes == "overflowing")
+        assert_rows_bit_equal(propose(data, priors, 3, 1, math.inf), full)
         d = np.sort(full[3])
         for pivot in (d[0], d[5], d[len(d) // 8], d[len(d) // 2], d[-1]):
             for eps in (np.nextafter(pivot, 0.0), pivot,
@@ -338,20 +366,25 @@ class TestRun:
             calls.append((kind, phi, speeds))
             return torque_batch(kind, phi, r, speeds)
         monkeypatch.setattr(abc, "torque_batch", counted)
+        speeds = m3_dataset.calibration_speeds
         propose(m3_dataset, reference_priors, 9, 0, math.inf)
-        full_calls = calls[:]
+        # at eps = inf each law's first-stage call holds all its rows
+        first = [(kind, phi) for kind, phi, s in calls
+                 if np.array_equal(s, speeds[::4])]
+        assert [kind for kind, _ in first] == list(MODEL_KINDS)
+        assert sum(len(phi) for _, phi in first) == abc._CHUNK
         calls.clear()
         eps = 0.013
         propose(m3_dataset, reference_priors, 9, 0, eps)
-        staged = sum(len(phi) * len(speeds) for _, phi, speeds in calls)
+        staged = sum(len(phi) * len(s) for _, phi, s in calls)
         y = m3_dataset.calibration_torques
         bound = eps * float(np.dot(y, y)) * (1 + abc._BOUND_MARGIN)
         half_speed = 0
-        for kind, phi, speeds in full_calls:
+        for kind, phi in first:
             half = y[::2] - torque_batch(kind, phi, 1.0, speeds[::2])
             survivors = (np.einsum("ij,ij->i", half, half) < bound).sum()
             half_speed += len(phi) * len(speeds[::2]) + survivors * len(speeds)
-        assert len(full_calls) == 4 and len(calls) == 12
+        assert len(calls) == 12
         # 364850 against 566200 cells
         assert staged < 0.7 * half_speed
 
@@ -418,10 +451,11 @@ class TestPosteriorStats:
     def test_histograms_span_prior_box(self, accept_all):
         stats = abc.posterior_stats(accept_all, 1, 2, bins=32)
         prior = accept_all.priors[2]
+        m = accept_all.population(1).count(2)
         for j in range(3):
             assert stats.bin_edges[j][0] == prior.lo[j]
             assert stats.bin_edges[j][-1] == prior.hi[j]
-            assert stats.bin_counts[j].sum() == stats.n_particles
+            assert stats.bin_counts[j].sum() == m
             assert len(stats.bin_counts[j]) == 32
 
     def test_degenerate_parameter_flagged(self, reference_priors):
@@ -438,7 +472,9 @@ class TestPosteriorStats:
                              n=40, seed=0, eps_floor=0.014,
                              model_prior=(0, 0, 1, 0), priors=reference_priors)
         stats = abc.posterior_stats(state, 1, 3)
-        assert stats.degenerate == (2,)
+        # only the constant parameter's row is NaN off the diagonal
+        assert [j for j in range(6) if np.isnan(
+            np.delete(stats.correlation[j], j)).all()] == [2]
         assert math.isnan(stats.correlation[0, 2])
         assert stats.correlation[2, 2] == 1.0
         assert not math.isnan(stats.correlation[0, 1])

@@ -663,6 +663,7 @@ _TYPED_VALUES = {
     float: _NUMBERS,
     cli._fraction: st.floats(0, 1),
     cli._open_fraction: st.floats(0, 1, exclude_min=True, exclude_max=True),
+    cli._coverage: st.floats(0, 1, exclude_max=True),
     cli._nonnegative_float: st.floats(0, 1e6),
     cli._positive_float: st.floats(0, 1e6, exclude_min=True),
 }
@@ -719,7 +720,7 @@ _SWEEP_FLOATS = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300"]
 _SWEEP_INTS = ["0", "-1", "1", "2"]
 _SWEEP_TEXT = ["", ",", "x", "nan,nan,nan", "0,0,0,0"]
 _EXIT_CODES = (0, 2, 3, 4)
-_FLOAT_TYPES = (float, cli._fraction, cli._open_fraction,
+_FLOAT_TYPES = (float, cli._fraction, cli._open_fraction, cli._coverage,
                 cli._nonnegative_float, cli._positive_float)
 _INT_TYPES = (int, cli._nonnegative_int, cli._positive_int, cli._int_from_2)
 
@@ -858,6 +859,8 @@ def test_min_particles_against_the_mapped_population(sweep_inputs, tmp_path,
     ("abc", {"delta": "0"}),
     ("abc", {"delta": "1"}),
     ("gen-data", {"n": "1", "model": "m3"}),
+    ("abc", {"envelope-coverage": "1"}),
+    ("abc", {"envelope-coverage": "nan"}),
 ])
 def test_value_outside_its_domain_exits_2_in_every_mode(sweep_inputs, tmp_path,
                                                         capsys, monkeypatch,

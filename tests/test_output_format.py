@@ -181,10 +181,10 @@ def crafted_abc(tmp_path, monkeypatch):
         np.fill_diagonal(corr, 1.0)
         corr[-1, -2] = 5e-324                  # and an asymmetric entry
         stats[k] = abc.PosteriorStats(
-            kind=k, n_particles=n // 4, param_names=PARAM_NAMES[k],
+            param_names=PARAM_NAMES[k],
             bin_edges=[np.array([-1e16, -0.0, 1e-300, 0.1, 1e16])] * p,
             bin_counts=[np.array([0, 50, 0, 10 ** 9])] * p,
-            correlation=corr, degenerate=(0,))
+            correlation=corr)
     envelope = (np.resize(SPECIAL, n), -np.resize(SPECIAL[::-1], n))
     monkeypatch.setattr(abc, "run", lambda *a, **kw: state)
     monkeypatch.setattr(abc, "posterior_stats", lambda st, g, k: stats[k])

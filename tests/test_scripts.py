@@ -1,11 +1,15 @@
-"""Smoke tests: the analysis scripts in ``scripts/`` run in-process."""
+"""Smoke tests: the analysis scripts in ``scripts/`` and the README's
+library sketch run in-process."""
 
+import ast
 import importlib.util
+import math
 import re
 import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def load(name: str):
@@ -45,3 +49,16 @@ def test_run_pipeline_writes_six_manifests(tmp_path, monkeypatch):
                                       "--n", "1000"])
     assert load("run_pipeline").main() == 0
     assert len(list(tmp_path.glob("*/manifest.json"))) == 6
+
+
+def test_readme_library_sketch_runs(capsys):
+    """The README's "Library sketch" block runs as it stands, so the
+    documented API cannot drift from the package."""
+    readme = ROOT / "README.md"
+    block = re.search(r"^## Library sketch\n\n```python\n(.*?)^```$",
+                      readme.read_text(encoding="utf-8"), re.M | re.S)
+    namespace = {}
+    exec(compile(block[1], str(readme), "exec"), namespace)
+    probs = ast.literal_eval(capsys.readouterr().out)
+    assert len(probs) == 4 and math.isclose(sum(probs), 1.0)
+    assert namespace["grid"].stable.shape == (80, 80)
