@@ -16,14 +16,13 @@ from .bitrock import BitRockModel, WobRatio, torque, torque_derivative
 from .calibration import FitResult, fit, fit_all, metric
 from .dataio import TorqueDataset, read_csv, synthesize, write_csv
 from .dynamics import (LumpedDrillString, OperatingPoint, TorsionalState,
-                       equilibrium_twist, jacobian_1dof, simulate)
+                       equilibrium_twist, simulate)
 from .fem import (DrillStringGeometry, FemTorsionalModel, assemble,
-                  eigenvalues_general, jacobian_fem, modal_properties)
+                  eigenvalues_general, modal_properties)
 from .reference import (REFERENCE_GEOMETRY, REFERENCE_PARAMS, W_REF_KN,
                         reference_model, reference_plant, reference_wob)
 from .stability import (BoundaryCurve, StabilityGrid, boundary_separation,
-                        classify, map_deterministic, map_mixture,
-                        map_stochastic)
+                        map_deterministic, map_mixture, map_stochastic)
 
 __version__ = "0.1.0"
 
@@ -32,12 +31,12 @@ __all__ = [
     "FitResult", "fit", "fit_all", "metric",
     "TorqueDataset", "read_csv", "synthesize", "write_csv",
     "LumpedDrillString", "OperatingPoint", "TorsionalState",
-    "equilibrium_twist", "jacobian_1dof", "simulate",
+    "equilibrium_twist", "simulate",
     "DrillStringGeometry", "FemTorsionalModel", "assemble",
-    "eigenvalues_general", "jacobian_fem", "modal_properties",
+    "eigenvalues_general", "modal_properties",
     "REFERENCE_GEOMETRY", "REFERENCE_PARAMS", "W_REF_KN",
     "reference_model", "reference_plant", "reference_wob",
-    "BoundaryCurve", "StabilityGrid", "boundary_separation", "classify",
+    "BoundaryCurve", "StabilityGrid", "boundary_separation",
     "map_deterministic", "map_mixture", "map_stochastic",
     "__version__",
 ]

@@ -501,7 +501,8 @@ def _bundle_errors(directory: Path):
         yield
     except DrillstabError:
         raise
-    except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, IndexError, TypeError,
+            AttributeError) as exc:
         raise DataError(f"cannot read ABC state bundle {directory}: "
                         f"{type(exc).__name__}: {exc}") from exc
 

@@ -180,21 +180,12 @@ def _speed(speed):
     return s, math
 
 
-def torque_eval(kind: int, params, r, speed):
-    """Torque for a raw (kind, params) pair; no invariant validation.
-
-    Called by ``torque`` and by ``calibration.metric_arrays``, the misfit
-    behind the public ``metric``; ``fit`` binds ``TORQUE_LAWS`` itself and
-    the ABC sampler calls ``torque_batch``. Library users should go through
-    ``torque``.
-    """
-    s, m = _speed(speed)
-    return TORQUE_LAWS[kind](as_ratio(r), params, s, m)
-
-
 def torque(model: BitRockModel, r, speed):
-    """Torque on bit in kN m at the given speed (rad/s, scalar or array)."""
-    return torque_eval(model.kind, model.params, r, speed)
+    """Torque on bit in kN m at the given speed (rad/s, scalar or array):
+    the law's formula after the speed checks. The misfit, the sampler and
+    the integrator call ``TORQUE_LAWS`` or ``torque_batch`` directly."""
+    s, m = _speed(speed)
+    return TORQUE_LAWS[model.kind](as_ratio(r), model.params, s, m)
 
 
 def torque_derivative(model: BitRockModel, r, speed):

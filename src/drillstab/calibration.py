@@ -4,10 +4,11 @@ The misfit is the relative quadratic metric
 
     rho(phi) = ||y - A(phi)||^2 / ||y||^2
 
-over the calibration subset of a dataset, minimized with Nelder-Mead
-under box bounds derived from each law's sign constraints (parameter
-combinations that violate a law's invariants score +inf, which keeps the
-simplex inside the valid region).
+over the calibration subset of a dataset, written once (``_misfit``):
+``metric`` scores a model with it, and ``fit`` minimizes it with
+Nelder-Mead under box bounds derived from each law's sign constraints
+(parameter combinations that violate a law's invariants score +inf, which
+keeps the simplex inside the valid region).
 
 The minimizer is a float-list port of scipy's bounded adaptive
 Nelder-Mead (scipy 1.17 ``_minimize_neldermead``) that reproduces it bit
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitrock import (BitRockModel, PARAM_COUNTS, SIGN_CONSTRAINTS, TORQUE_LAWS,
-                      as_ratio, signs_hold, torque_eval, validate_params)
+                      as_ratio, signs_hold, validate_params)
 from .dataio import TorqueDataset
 from .errors import DomainError, NumericError
 
@@ -48,19 +49,27 @@ def default_bounds(kind: int) -> list[tuple[float, float]]:
             else (-np.inf, np.inf) for j in range(PARAM_COUNTS[kind])]
 
 
-def metric_arrays(kind: int, params, r, speeds: np.ndarray,
-                  torques: np.ndarray) -> float:
-    """rho for raw arrays; no invariant validation (optimizer path)."""
-    resid = torques - torque_eval(kind, tuple(float(v) for v in params), r, speeds)
-    ynorm = float(np.dot(torques, torques))
-    return float(np.dot(resid, resid) / ynorm)
+def _misfit(dataset: TorqueDataset, kind: int, r):
+    """rho(p) of law ``kind`` over the calibration samples of ``dataset``,
+    +inf where p breaks the law's sign constraints."""
+    dataset.require_calibration()
+    # a TorqueDataset holds only finite speeds >= 0, so the law runs
+    # without torque()'s speed checks
+    speeds, y = dataset.calibration_speeds, dataset.calibration_torques
+    law, rv, ynorm = TORQUE_LAWS[kind], as_ratio(r), float(np.dot(y, y))
+
+    def rho(p) -> float:
+        if not signs_hold(kind, p):
+            return math.inf
+        resid = y - law(rv, p, speeds, np)
+        return float(np.dot(resid, resid) / ynorm)
+
+    return rho
 
 
 def metric(dataset: TorqueDataset, model: BitRockModel, r) -> float:
     """Relative squared misfit of a model over the calibration samples."""
-    dataset.require_calibration()
-    return metric_arrays(model.kind, model.params, r,
-                         dataset.calibration_speeds, dataset.calibration_torques)
+    return _misfit(dataset, model.kind, r)(model.params)
 
 
 class _EvalCapReached(Exception):
@@ -172,7 +181,7 @@ def fit(dataset: TorqueDataset, kind: int, r, initial,
     ``converged=False`` with the best parameters found, not an exception;
     a misfit that is not finite at ``initial`` raises NumericError.
     """
-    dataset.require_calibration()
+    objective = _misfit(dataset, kind, r)
     if n_starts < 1:
         raise DomainError("n_starts must be >= 1")
     # the start draws span 2 jitter; written so that NaN fails the test
@@ -180,17 +189,6 @@ def fit(dataset: TorqueDataset, kind: int, r, initial,
         raise DomainError(f"jitter must be >= 0 with 2 * jitter finite, got {jitter}")
     lo, hi = (list(b) for b in zip(*default_bounds(kind)))
     x0 = _clip(list(validate_params(kind, initial)), lo, hi)
-    # bound once; a TorqueDataset holds only finite speeds >= 0, so the
-    # objective runs the law without torque_eval's speed checks
-    speeds, y = dataset.calibration_speeds, dataset.calibration_torques
-    law, rv, ynorm = TORQUE_LAWS[kind], as_ratio(r), float(np.dot(y, y))
-
-    def objective(p):
-        if not signs_hold(kind, p):
-            return math.inf
-        resid = y - law(rv, p, speeds, np)
-        return float(np.dot(resid, resid) / ynorm)
-
     best_x, best_f, total_nfev, converged = x0, objective(x0), 0, True
     if not best_f < math.inf:
         raise NumericError(f"the misfit is {best_f} at the initial point")

@@ -33,7 +33,8 @@ from . import __version__, abc as abc_mod, svgplot
 from .bitrock import BitRockModel, MODEL_KINDS, PARAM_COUNTS, WobRatio
 from .calibration import fit
 from .dataio import (DEFAULT_SPEED_POINTS, DEFAULT_SPEED_RANGE, read_csv,
-                     synthesize, write_csv, write_json, write_table)
+                     synthesize, write_csv, write_json, write_table,
+                     write_text)
 from .dynamics import LumpedDrillString
 from .errors import (ConfigError, DataError, DrillstabError, DomainError,
                      NumericError)
@@ -79,11 +80,6 @@ def _params_for(kind: int, spec, flag: str = "--params") -> tuple[float, ...]:
         raise ConfigError(
             f"model m{kind} takes {PARAM_COUNTS[kind]} parameters, got {len(vals)}")
     return vals
-
-
-def _write_text(path: Path, text: str) -> str:
-    path.write_text(text, encoding="utf-8")
-    return path.name
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict,
@@ -169,7 +165,7 @@ def run_fit(config: dict) -> list[str]:
         pstr = ", ".join(f"{v:.6g}" for v in res.model.params)
         lines.append(f"m{k:<5} {res.metric_value:<12.6g} {res.iterations:<7d} "
                      f"{str(res.converged):<5} {pstr}")
-    outputs.append(_write_text(out / "fit_report.txt", "\n".join(lines) + "\n"))
+    outputs.append(write_text(out / "fit_report.txt", "\n".join(lines) + "\n").name)
     return outputs
 
 
@@ -238,17 +234,17 @@ def run_abc(config: dict) -> list[str]:
     if not config["no_svg"]:
         series = [svgplot.Series(x=gens, y=list(evo[:, i]), label=f"m{k}")
                   for i, k in enumerate(MODEL_KINDS)]
-        outputs.append(_write_text(
+        outputs.append(write_text(
             out / "model_probabilities.svg",
             svgplot.render(series, "population", "posterior probability",
-                           "model probability evolution")))
+                           "model probability evolution")).name)
         tol = [state.tolerances[g] for g in range(1, state.n_populations)]
         if tol:
             series = [svgplot.Series(x=gens[1:], y=tol, label="tolerance")]
-            outputs.append(_write_text(
+            outputs.append(write_text(
                 out / "tolerance_evolution.svg",
                 svgplot.render(series, "population", "tolerance",
-                               "tolerance schedule (population 1 accepts all)")))
+                               "tolerance schedule (population 1 accepts all)")).name)
         for k in rich:
             low, high = envelopes[k]
             band = svgplot.FillBand(x=list(speeds), y_low=list(low),
@@ -262,11 +258,11 @@ def run_abc(config: dict) -> list[str]:
                                   y=list(dataset.validation_torques),
                                   label="validation", color="#1f77b4",
                                   points=True)]
-            outputs.append(_write_text(
+            outputs.append(write_text(
                 out / f"predictions_m{k}.svg",
                 svgplot.render(pts, "bit speed [rad/s]", "torque on bit [kN m]",
                                f"posterior predictions, model m{k}",
-                               bands=[band])))
+                               bands=[band])).name)
     return outputs
 
 
@@ -358,12 +354,12 @@ def run_map(config: dict) -> list[str]:
                     y=list(piece[:, 1]), label=label if i == 0 else "",
                     color=color, dashed=dashed))
         if series:
-            outputs.append(_write_text(
+            outputs.append(write_text(
                 out / "map_boundaries.svg",
                 svgplot.render(series, "rotary speed [RPM]",
                                f"weight on bit [kN]  (r = W / {w_ref:g} kN)",
                                "torsional stability boundaries "
-                               "(below curve: stable)")))
+                               "(below curve: stable)")).name)
     return outputs
 
 
@@ -380,7 +376,7 @@ def run_fem_modes(config: dict) -> list[str]:
     txt = [f"{'mode':<5} {'omega [rad/s]':<14} {'omega [RPM]':<12} xi"]
     txt += [f"{i:<5d} {w:<14.4f} {w * RAD_S_TO_RPM:<12.3f} {xi:.4f}"
             for i, (w, xi) in enumerate(modes, start=1)]
-    outputs.append(_write_text(out / "modes.txt", "\n".join(txt) + "\n"))
+    outputs.append(write_text(out / "modes.txt", "\n".join(txt) + "\n").name)
     return outputs
 
 
@@ -415,7 +411,7 @@ def _replay_argv(config: dict) -> list[str]:
         command, inner = manifest["command"], dict(manifest["config"])
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise DataError(f"cannot read manifest {config['manifest']}: {exc}") from None
-    if command not in _COMMANDS:
+    if not (isinstance(command, str) and command in _COMMANDS):
         raise ConfigError(f"manifest names unknown command {command!r}")
     inner.pop("refine", None)   # retired map option, still in old manifests
     if config["out_dir"] is not None:

@@ -1,9 +1,10 @@
 """Torque-vs-speed dataset ingestion and generation, and the writers of
 every output file.
 
-``write_table`` writes each CSV the package produces (UTF-8, LF, floats
-written with ``repr`` so a write/read cycle is bit-exact) and
-``write_json`` each JSON file. A dataset is such a table with optional
+``write_table`` writes each CSV the package produces (floats written
+with ``repr`` so a write/read cycle is bit-exact) and ``write_json`` each
+JSON file; they and every text output go through ``write_text`` (UTF-8,
+LF line ends on every platform). A dataset is such a table with optional
 ``# key=value`` metadata lines before its header::
 
     # w_ref_kn=244.2
@@ -162,6 +163,13 @@ def _cells(col):
                     dtype=object)[inverse].tolist()
 
 
+def write_text(path, text: str) -> Path:
+    """Write an output file (UTF-8, LF line ends); returns the path."""
+    path = Path(path)
+    path.write_text(text, encoding="utf-8", newline="\n")
+    return path
+
+
 def write_table(path, header, columns, preamble=()) -> Path:
     """Write a comma-separated table (UTF-8, LF); returns the path.
 
@@ -170,19 +178,13 @@ def write_table(path, header, columns, preamble=()) -> Path:
     value formatted once; any other column holds ready-made string cells.
     ``preamble`` lines precede the header.
     """
-    path = Path(path)
     rows = map(",".join, zip(*map(_cells, columns)))
-    path.write_text("\n".join([*preamble, ",".join(header), *rows]) + "\n",
-                    encoding="utf-8", newline="\n")
-    return path
+    return write_text(path, "\n".join([*preamble, ",".join(header), *rows]) + "\n")
 
 
 def write_json(path, obj) -> Path:
     """Write ``obj`` as JSON with sorted keys and a 2-space indent."""
-    path = Path(path)
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8", newline="\n")
-    return path
+    return write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def write_csv(dataset: TorqueDataset, path) -> Path:

@@ -7,9 +7,10 @@ The bit angle theta obeys
 
 with the rotary table turning at constant speed Omega and T_bit one of
 the bit-rock laws (kN m, converted to N m here). The module provides the
-state-space form, the dynamic equilibrium, the linearized Jacobian used
-for stability classification, and a fixed-step RK4 integrator with a
-simple sticking approximation for cross-checking the linear analysis.
+dynamic equilibrium, the linearized Jacobian at it (the eigen route that
+``stability.classify`` takes), and a fixed-step RK4 integrator of the
+equation of motion, with a simple sticking approximation, for
+cross-checking the linear analysis.
 """
 
 from __future__ import annotations
@@ -104,19 +105,6 @@ def equilibrium_state(model: BitRockModel, r, ds: LumpedDrillString,
     return TorsionalState(theta=op.omega * time - theta0,
                           theta_dot=op.omega * (1.0 + speed_perturbation),
                           time=time)
-
-
-def state_space_rhs(model: BitRockModel, r, ds: LumpedDrillString,
-                    op: OperatingPoint, state: TorsionalState) -> tuple[float, float]:
-    """Right-hand side (theta', theta'') of the first-order system.
-
-    The torque law is evaluated at max(speed, 0); the linear terms use the
-    raw speed (they are defined for any sign).
-    """
-    tq = KNM_TO_NM * torque(model, r, max(state.theta_dot, 0.0))
-    acc = (ds.k_eq * (op.omega * state.time - state.theta)
-           + ds.c_eq * (op.omega - state.theta_dot) - tq) / ds.i_eq
-    return state.theta_dot, acc
 
 
 def jacobian_1dof(model: BitRockModel, r, ds: LumpedDrillString,

@@ -20,8 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bitrock import (BitRockModel, WobRatio, torque_derivative,
-                      torque_derivative_batch)
+from .bitrock import BitRockModel, WobRatio, torque_derivative_batch
 from .dataio import write_table
 from .dynamics import KNM_TO_NM, LumpedDrillString, OperatingPoint, jacobian_1dof
 from .errors import DomainError, InsufficientSamplesError, NumericError
@@ -92,7 +91,9 @@ def classify(model: BitRockModel, plant, op: OperatingPoint,
              w_ref: float) -> bool:
     """True when the linearized system at (Omega, W) is strictly stable.
 
-    ``plant`` is either a LumpedDrillString or a FemTorsionalModel.
+    ``plant`` is either a LumpedDrillString or a FemTorsionalModel. The
+    eigen route the tests check ``critical_damping`` and the maps against;
+    no map calls it.
     """
     r = WobRatio(op.wob, w_ref)
     if isinstance(plant, LumpedDrillString):
@@ -119,15 +120,6 @@ def _rightmost(plant, c: np.ndarray) -> np.ndarray:
 
 def _stable(plant, c) -> np.ndarray:
     return _rightmost(plant, np.atleast_1d(c)) < -STABLE_TIE_TOL
-
-
-def classify_trace(model: BitRockModel, plant: LumpedDrillString,
-                   op: OperatingPoint, w_ref: float) -> bool:
-    """Independent 1-DOF route: rightmost eigenvalue from the closed-form
-    quadratic, same tie rule as ``classify``."""
-    r = WobRatio(op.wob, w_ref)
-    d_nm = KNM_TO_NM * torque_derivative(model, r, op.omega)
-    return bool(_stable(plant, d_nm)[0])
 
 
 # a huge plant input overflows to inf or NaN, which the guard scan rejects

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from drillstab.bitrock import BitRockModel, WobRatio
+from drillstab.bitrock import BitRockModel, WobRatio, torque_batch
 from drillstab.reference import (REFERENCE_GEOMETRY, REFERENCE_PARAMS,
                                  W_REF_KN, reference_plant)
 
@@ -39,3 +40,13 @@ def m3():
 @pytest.fixture
 def m4():
     return BitRockModel(kind=4, params=REFERENCE_PARAMS[4])
+
+
+@pytest.fixture
+def unvalidated_rho():
+    """rho(kind, phi, speeds, y) = ||y - A(phi)||^2 / ||y||^2 at r = 1,
+    without the law's sign checks, which ABC particles need not meet."""
+    def rho(kind, phi, speeds, y):
+        resid = y - torque_batch(kind, np.asarray(phi)[None, :], 1.0, speeds)[0]
+        return float(np.dot(resid, resid) / np.dot(y, y))
+    return rho

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from fractions import Fraction
@@ -8,7 +9,7 @@ from scipy.stats import ks_2samp
 
 from drillstab import abc
 from drillstab.bitrock import MODEL_KINDS, PARAM_COUNTS, torque_batch
-from drillstab.calibration import fit_all, metric_arrays
+from drillstab.calibration import fit_all
 from drillstab.dataio import TorqueDataset, synthesize
 from drillstab.errors import (DataError, DomainError,
                               InsufficientSamplesError, StallError)
@@ -192,14 +193,15 @@ class TestRun:
                 if len(phis):
                     assert (phis >= box.lo).all() and (phis <= box.hi).all()
 
-    def test_distances_revalidate(self, small_state, m3_dataset):
+    def test_distances_revalidate(self, small_state, m3_dataset,
+                                  unvalidated_rho):
         pop = small_state.populations[-1]
         speeds = m3_dataset.calibration_speeds
         y = m3_dataset.calibration_torques
         for i in range(0, len(pop), 25):
             kind = int(pop.kinds[i])
             phi = pop.phis[i, :PARAM_COUNTS[kind]]
-            rho = metric_arrays(kind, phi, 1.0, speeds, y)
+            rho = unvalidated_rho(kind, phi, speeds, y)
             assert rho == pytest.approx(pop.distances[i], rel=1e-12)
 
     def test_deterministic_under_seed_and_threads(self, m3_dataset,
@@ -725,6 +727,16 @@ class TestBundleValidation:
         self.edit_row(bundle, lambda cells: cells.__setitem__(-1, eps))
         with pytest.raises(DataError, match="tolerance"):
             abc.load_state(bundle)
+
+    @pytest.mark.parametrize("priors", [[], None], ids=["list", "null"])
+    def test_priors_not_an_object(self, bundle, priors):
+        path = bundle / "abc_state.json"
+        manifest = json.loads(path.read_text())
+        manifest["priors"] = priors
+        path.write_text(json.dumps(manifest))
+        for load in (abc.load_state, abc.load_population):
+            with pytest.raises(DataError, match="cannot read"):
+                load(bundle)
 
     def test_one_population_equals_full_load(self, bundle):
         state = abc.load_state(bundle)

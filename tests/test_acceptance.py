@@ -18,7 +18,7 @@ import pytest
 from drillstab import abc, cli
 from drillstab.bitrock import (BitRockModel, MODEL_KINDS, WobRatio,
                                torque, torque_derivative)
-from drillstab.calibration import fit, fit_all, metric_arrays
+from drillstab.calibration import fit, fit_all
 from drillstab.dataio import synthesize
 from drillstab.dynamics import (OperatingPoint, equilibrium_state,
                                 simulate)
@@ -263,7 +263,7 @@ def test_criterion_6_least_squares_recovery(r1):
            + f", {elapsed:.1f}s")
 
 
-def test_criterion_7_abc_model_selection(pipeline_runs):
+def test_criterion_7_abc_model_selection(pipeline_runs, unvalidated_rho):
     t0 = time.perf_counter()
     structural = []
     outcomes = []
@@ -280,7 +280,7 @@ def test_criterion_7_abc_model_selection(pipeline_runs):
                 phis = pop.particles_of(kind)
                 if not len(phis):
                     continue
-                pred = np.array([metric_arrays(kind, phi, 1.0, speeds, y)
+                pred = np.array([unvalidated_rho(kind, phi, speeds, y)
                                  for phi in phis[:: max(1, len(phis) // 200)]])
                 if not (pred < pop.tolerance).all():
                     structural.append(

@@ -98,6 +98,13 @@ class TestFit:
         assert multi_a.metric_value == multi_b.metric_value
         assert multi_a.metric_value <= single.metric_value + 1e-15
 
+    @pytest.mark.parametrize("kind", [1, 2, 3, 4])
+    def test_metric_value_is_the_metric_of_the_fit(self, kind, m3, r1):
+        # fit minimizes the misfit that metric reports: the same bits
+        ds = synthesize(m3, r1, noise_std=0.8, seed=0)
+        res = fit(ds, kind, r1, REFERENCE_PARAMS[kind], n_starts=3)
+        assert repr(res.metric_value) == repr(metric(ds, res.model, r1))
+
     def test_eval_cap_returns_best_found_not_exception(self, m3, r1):
         ds = synthesize(m3, r1, noise_std=0.8, seed=6)
         res = fit(ds, 3, r1, tuple(1.5 * v for v in REFERENCE_PARAMS[3]),

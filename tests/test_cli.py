@@ -370,6 +370,17 @@ class TestMap:
         assert run_cli("map", "--out-dir", tmp_path / "out", "--mode",
                        "stochastic", "--abc-state", bundle) == 4
 
+    @pytest.mark.parametrize("priors", [[], None], ids=["list", "null"])
+    def test_bundle_priors_not_an_object_exits_4(self, abc_dir, tmp_path,
+                                                  priors):
+        bundle = tmp_path / "abc_state"
+        shutil.copytree(abc_dir / "abc_state", bundle)
+        manifest = json.loads((bundle / "abc_state.json").read_text())
+        manifest["priors"] = priors
+        (bundle / "abc_state.json").write_text(json.dumps(manifest))
+        assert run_cli("map", "--out-dir", tmp_path / "out", "--mode",
+                       "stochastic", "--abc-state", bundle) == 4
+
     def test_one_population_read_matches_full_load(self, abc_dir, tmp_path,
                                                    monkeypatch):
         def full_load(directory, g=None):
@@ -580,6 +591,8 @@ class TestReplayDeterminism:
         ("map", {"no_svg": "false"}),
         ("fem-modes", {"shear_modulus": 1e9}),
         ("fem-modes", {"n_dp": 2.5}),
+        (["fit"], {}),
+        ({"a": 1}, {}),
     ])
     def test_bad_manifest_value_or_key_exits_2(self, tmp_path, command, config):
         manifest = tmp_path / "manifest.json"

@@ -4,13 +4,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drillstab.bitrock import BitRockModel, WobRatio
-from drillstab.dynamics import (LumpedDrillString, OperatingPoint,
+from drillstab.bitrock import BitRockModel, WobRatio, torque
+from drillstab.dynamics import (KNM_TO_NM, LumpedDrillString, OperatingPoint,
                                 TorsionalState, equilibrium_state,
-                                equilibrium_twist, jacobian_1dof, simulate,
-                                state_space_rhs)
+                                equilibrium_twist, jacobian_1dof, simulate)
 from drillstab.errors import DomainError, IntegrationError
 from drillstab.reference import REFERENCE_PARAMS, W_REF_KN
+
+
+def state_space_rhs(model, r, ds, op, state):
+    """Right-hand side (theta', theta'') of the first-order system.
+
+    The torque law is evaluated at max(speed, 0); the linear terms use the
+    raw speed (they are defined for any sign).
+    """
+    tq = KNM_TO_NM * torque(model, r, max(state.theta_dot, 0.0))
+    acc = (ds.k_eq * (op.omega * state.time - state.theta)
+           + ds.c_eq * (op.omega - state.theta_dot) - tq) / ds.i_eq
+    return state.theta_dot, acc
 
 
 class TestFromModal:

@@ -17,10 +17,18 @@ from drillstab.fem import (assemble, eigenvalues_general, jacobian_fem,
 from drillstab.reference import (REFERENCE_GEOMETRY, REFERENCE_PARAMS,
                                  W_REF_KN, reference_plant)
 from drillstab.stability import (BoundaryCurve, boundary_separation,
-                                 boundary_to_csv, classify, classify_trace,
+                                 boundary_to_csv, classify,
                                  critical_damping, grid_to_csv,
                                  map_deterministic, map_mixture,
                                  map_stochastic)
+
+
+def classify_trace(model, plant, op, w_ref):
+    """Independent 1-DOF route: rightmost eigenvalue from the closed-form
+    quadratic, same tie rule as ``classify``."""
+    r = WobRatio(op.wob, w_ref)
+    d_nm = KNM_TO_NM * torque_derivative(model, r, op.omega)
+    return bool(stability._stable(plant, d_nm)[0])
 
 
 def m2_analytic_wstar(omega, c_eq, w_ref=W_REF_KN,
