@@ -14,13 +14,15 @@ pointwise predictive envelopes summarize the per-model particle sets.
 
 All populations come from one proposal stream, generated in fixed-size
 chunks whose RNG streams are keyed by (seed, chunk index). Population g is
-the first n proposals of that stream whose distance lies below eps_g; since
-tolerances only fall, the proposals kept for population g are filtered for
-population g+1 before the stream continues, and a rejected proposal is never
-drawn again. A population is a function of the stream alone, so serial and
-thread-parallel runs produce bit-identical populations. A population's
-``attempts`` is the stream position of its n-th acceptance plus one: the
-proposals drawn up to it, counted from the start of the stream.
+the first n proposals of that stream whose distance lies below eps_g. Since
+tolerances only fall, population g starts from every row kept so far,
+population g-1's spare rows included, filtered to eps_g; it then appends
+each new chunk's rows below eps_g in chunk order and joins them once it
+holds n. A rejected proposal is never drawn again. A population is a
+function of the stream alone, so serial and thread-parallel runs produce
+bit-identical populations. A population's ``attempts`` is the stream
+position of its n-th acceptance plus one: the proposals drawn up to it,
+counted from the start of the stream.
 
 Two shortcuts skip work that no output sees, and change no bit of it:
 
@@ -67,6 +69,8 @@ ENVELOPE_MIN_PARTICLES = 50
 _CHUNK = 8192
 _BOUND_MARGIN = 1e-9
 _ENVELOPE_BLOCK = 16
+_CSV_HEADER = ",".join(
+    ["model_tag", *(f"phi{j}" for j in range(MAX_PARAMS)), "distance"])
 
 
 @dataclass(frozen=True)
@@ -194,12 +198,11 @@ def _propose_chunk(seed: int, chunk_index: int, chunk: int, eps: float,
     kinds = np.searchsorted(cum_prior, u[:, 0], side="right") + 1
     kinds = np.minimum(kinds, len(MODEL_KINDS))     # guard u == 1.0 edge
     dists = np.full(chunk, np.inf)
+    phis = np.full((chunk, MAX_PARAMS), np.nan)
     bound = eps * ynorm * (1 + _BOUND_MARGIN)
     for kind, prior in priors.items():
-        rows = np.flatnonzero(kinds == kind)
-        if not len(rows):
-            continue
-        phi = prior.sample_from_unit(u[rows, 1:1 + PARAM_COUNTS[kind]])
+        rows, p = np.flatnonzero(kinds == kind), PARAM_COUNTS[kind]
+        phi = prior.sample_from_unit(u[rows, 1:1 + p])
 
         def resid(phi, cols):
             return y[None, cols] - torque_batch(kind, phi, r, speeds[cols])
@@ -218,15 +221,9 @@ def _propose_chunk(seed: int, chunk_index: int, chunk: int, eps: float,
         full[:, ::4], full[:, 2::4] = quarter[live], other[live]
         full[:, 1::2] = resid(phi, slice(1, None, 2))
         dists[rows] = np.einsum("ij,ij->i", full, full) / ynorm
+        phis[rows, :p] = phi
     keep = np.flatnonzero(dists < eps)
-    kept_kinds = kinds[keep]
-    phis = np.full((len(keep), MAX_PARAMS), np.nan)
-    for kind, prior in priors.items():
-        mask = kept_kinds == kind
-        if mask.any():
-            p = PARAM_COUNTS[kind]
-            phis[mask, :p] = prior.sample_from_unit(u[keep[mask], 1:1 + p])
-    return chunk_index * chunk + keep, kept_kinds, phis, dists[keep]
+    return chunk_index * chunk + keep, kinds[keep], phis[keep], dists[keep]
 
 
 def run(dataset: TorqueDataset, priors: dict[int, PriorSpec],
@@ -257,22 +254,17 @@ def run(dataset: TorqueDataset, priors: dict[int, PriorSpec],
     prior_vec, cum_prior = _normalize_model_prior(model_prior)
     threads = max(1, int(threads))
 
-    # the pool holds, in stream order, every proposal drawn so far that lies
-    # below the current tolerance; a wave starts below n rows and adds at
-    # most threads chunks
-    cap = n + threads * _CHUNK
-    pool = positions, kinds, phis, dists = (
-        np.empty(cap, dtype=np.int64), np.empty(cap, dtype=int),
-        np.empty((cap, MAX_PARAMS)), np.empty(cap))
-    have = 0
+    # every proposal drawn so far that lies below the last tolerance, in
+    # stream order: (positions, kinds, phis, distances)
+    stream = (np.empty(0, dtype=np.int64), np.empty(0, dtype=int),
+              np.empty((0, MAX_PARAMS)), np.empty(0))
     next_chunk = 0
 
     def generate(executor, eps: float) -> Population:
-        nonlocal have, next_chunk
-        keep = np.flatnonzero(dists[:have] < eps)
-        have = len(keep)
-        for buf in pool:
-            buf[:have] = buf[keep]
+        nonlocal stream, next_chunk
+        below = stream[3] < eps
+        parts = [tuple(col[below] for col in stream)]
+        have = len(parts[0][0])
         window_attempts = 0
         window_accepts = 0
         while have < n:
@@ -281,12 +273,9 @@ def run(dataset: TorqueDataset, priors: dict[int, PriorSpec],
                     for c in range(next_chunk, next_chunk + threads)]
             next_chunk += threads
             for fut in wave:            # merge in chunk order: deterministic
-                rows = fut.result()
-                m = len(rows[0])
-                for buf, col in zip(pool, rows):
-                    buf[have:have + m] = col
-                have += m
-                window_accepts += m
+                parts.append(fut.result())
+                have += len(parts[-1][0])
+                window_accepts += len(parts[-1][0])
             window_attempts += threads * _CHUNK
             if window_attempts >= stall_window:
                 if window_accepts < 1e-5 * window_attempts:
@@ -296,16 +285,17 @@ def run(dataset: TorqueDataset, priors: dict[int, PriorSpec],
                         epsilon=eps, attempts=next_chunk * _CHUNK)
                 window_attempts = 0
                 window_accepts = 0
+        stream = positions, kinds, phis, dists = tuple(
+            map(np.concatenate, zip(*parts)))
+        # copies, so that no population keeps the spare rows alive
         return Population(kinds=kinds[:n].copy(), phis=phis[:n].copy(),
                           distances=dists[:n].copy(), tolerance=eps,
                           attempts=int(positions[n - 1]) + 1)
 
     populations: list[Population] = []
-    tolerances: list[float] = []
     eps = math.inf
     with ThreadPoolExecutor(max_workers=threads) as executor:
         while True:
-            tolerances.append(eps)
             pop = generate(executor, eps)
             populations.append(pop)
             nxt = float(np.median(pop.distances))
@@ -316,7 +306,8 @@ def run(dataset: TorqueDataset, priors: dict[int, PriorSpec],
                 stopped = "max_populations"
                 break
             eps = nxt
-    return AbcState(populations=populations, tolerances=tolerances,
+    return AbcState(populations=populations,
+                    tolerances=[pop.tolerance for pop in populations],
                     next_tolerance=nxt, stopped_by=stopped, n=n, seed=seed,
                     eps_floor=eps_floor,
                     model_prior=tuple(float(p) for p in prior_vec),
@@ -439,13 +430,12 @@ def save_state(state: AbcState, directory) -> Path:
     """Serialize to a CSV bundle plus a JSON manifest; returns the dir."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    header = ",".join(["model_tag", *(f"phi{j}" for j in range(MAX_PARAMS)),
-                       "distance"])
     prev, prev_rows = None, []
     for g, pop in enumerate(state.populations, start=1):
         rows = [prev_rows[i] for i in _carried_rows(prev, pop)]
         rows += _format_rows(pop, len(rows))
-        write_table(directory / f"population_{g:02d}.csv", [header], [rows])
+        write_table(directory / f"population_{g:02d}.csv", [_CSV_HEADER],
+                    [rows])
         prev, prev_rows = pop, rows
     manifest = {
         "n": state.n,
@@ -470,7 +460,9 @@ def save_state(state: AbcState, directory) -> Path:
 
 def load_state(directory) -> AbcState:
     """Rebuild an AbcState from a ``save_state`` bundle. DataError for a
-    missing or unreadable bundle, or a population whose row count, cells
+    missing or unreadable bundle, a manifest that lists no populations or
+    unequal numbers of tolerances and attempts, or a population whose
+    header is not the one ``save_state`` writes, or whose row count, cells
     per row, model tags, NaN padding or distances do not fit n, the header,
     1-4, the tags' parameter counts or the tolerance."""
     directory = Path(directory)
@@ -522,14 +514,21 @@ def _parse_manifest(directory: Path) -> tuple[AbcState, list[int]]:
                      eps_floor=float(manifest["eps_floor"]),
                      model_prior=tuple(float(p) for p in manifest["model_prior"]),
                      priors=priors)
-    return state, [int(a) for a in manifest["attempts"]]
+    attempts = [int(a) for a in manifest["attempts"]]
+    if not 0 < len(state.tolerances) == len(attempts):
+        raise DataError(f"the manifest lists {len(state.tolerances)} "
+                        f"tolerances and {len(attempts)} attempts, not one of "
+                        "each for each of one or more populations")
+    return state, attempts
 
 
 def _read_population(directory: Path, state: AbcState, attempts: list[int],
                      g: int) -> Population:
     """Parse population g and check it against the manifest."""
     text = (directory / f"population_{g:02d}.csv").read_text()
-    rows = text.strip().split("\n")[1:]
+    header, *rows = text.strip().split("\n")
+    if header != _CSV_HEADER:
+        raise DataError(f"population {g}'s header is not {_CSV_HEADER!r}")
     width = MAX_PARAMS + 2
     if any(row.count(",") != width - 1 for row in rows):
         raise DataError(f"population {g} has rows without {width} cells")

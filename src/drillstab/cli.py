@@ -484,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated values; default: built-in reference "
                         "calibration estimates")
     p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--w-ref", type=float, default=W_REF_KN)
+    p.add_argument("--w-ref", type=_positive_float, default=W_REF_KN)
     p.add_argument("--noise", type=float, default=0.0,
                    help="additive Gaussian noise std, kN m")
     p.add_argument("--n", type=_int_from_2, default=DEFAULT_SPEED_POINTS)
@@ -537,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights",
                    help="mixture weights (default: posterior frequencies)")
     p.add_argument("--min-particles", type=_positive_int, default=100)
-    p.add_argument("--w-ref", type=float, default=W_REF_KN)
+    p.add_argument("--w-ref", type=_positive_float, default=W_REF_KN)
     p.add_argument("--i-eq", type=float, default=REFERENCE_INERTIA)
     p.add_argument("--omega-n", type=float, default=REFERENCE_OMEGA_N)
     p.add_argument("--xi", type=float, default=REFERENCE_XI)

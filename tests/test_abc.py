@@ -38,9 +38,12 @@ def accept_all(m3_dataset, reference_priors):
                    max_populations=1, seed=5)
 
 
-def propose(dataset, priors, seed, chunk_index, eps):
-    """One chunk of the proposal stream under uniform model weights."""
-    _, cum_prior = abc._normalize_model_prior((0.25, 0.25, 0.25, 0.25))
+UNIFORM = (0.25, 0.25, 0.25, 0.25)
+
+
+def propose(dataset, priors, seed, chunk_index, eps, model_prior=UNIFORM):
+    """One chunk of the proposal stream."""
+    _, cum_prior = abc._normalize_model_prior(model_prior)
     y = dataset.calibration_torques
     return abc._propose_chunk(seed, chunk_index, abc._CHUNK, eps, cum_prior,
                               priors, dataset.calibration_speeds, y,
@@ -48,12 +51,12 @@ def propose(dataset, priors, seed, chunk_index, eps):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def full_chunk(dataset, priors, seed, chunk_index):
-    """Oracle for one chunk of the proposal stream under uniform model
-    weights: every misfit evaluated at all speeds at once, without the
-    sampler's staged bound. The rows whose distance lies below eps = inf,
-    as (positions, kinds, phis, distances)."""
-    _, cum_prior = abc._normalize_model_prior((0.25, 0.25, 0.25, 0.25))
+def full_chunk(dataset, priors, seed, chunk_index, model_prior=UNIFORM):
+    """Oracle for one chunk of the proposal stream: every misfit evaluated
+    at all speeds at once, without the sampler's staged bound. The rows
+    whose distance lies below eps = inf, as (positions, kinds, phis,
+    distances)."""
+    _, cum_prior = abc._normalize_model_prior(model_prior)
     y = dataset.calibration_torques
     u = np.random.default_rng((seed, chunk_index)).random(
         (abc._CHUNK, 1 + abc.MAX_PARAMS))
@@ -295,16 +298,22 @@ class TestRun:
                                                           reference_priors):
         """The chunk's misfit is bounded in stages; it must keep exactly
         the rows of the full evaluation below eps, bit for bit, also at eps
-        equal to a distance and one ulp either side of it."""
-        full = full_chunk(m3_dataset, reference_priors, 7, 3)
-        d = np.sort(full[3])
-        assert len(d) == abc._CHUNK
-        for pivot in (d[0], d[1], d[40], d[len(d) // 2], d[-1]):
-            for eps in (np.nextafter(pivot, 0.0), pivot,
-                        np.nextafter(pivot, math.inf)):
-                keep = full[3] < eps
-                got = propose(m3_dataset, reference_priors, 7, 3, float(eps))
-                assert_rows_bit_equal(got, tuple(col[keep] for col in full))
+        equal to a distance and one ulp either side of it. A law without
+        prior mass draws no row and passes through as an empty block."""
+        for model_prior in (UNIFORM, (0, 0, 1, 0), (0.5, 0, 0.5, 0)):
+            full = full_chunk(m3_dataset, reference_priors, 7, 3, model_prior)
+            d = np.sort(full[3])
+            assert len(d) == abc._CHUNK
+            assert set(np.unique(full[1])) == {
+                k for k, w in zip(MODEL_KINDS, model_prior) if w}
+            for pivot in (d[0], d[1], d[40], d[len(d) // 2], d[-1]):
+                for eps in (np.nextafter(pivot, 0.0), pivot,
+                            np.nextafter(pivot, math.inf)):
+                    keep = full[3] < eps
+                    got = propose(m3_dataset, reference_priors, 7, 3,
+                                  float(eps), model_prior)
+                    assert_rows_bit_equal(got,
+                                          tuple(col[keep] for col in full))
 
     def test_bounded_chunk_rejects_overflowing_torques(self, m3_dataset,
                                                        reference_priors):
@@ -728,14 +737,38 @@ class TestBundleValidation:
         with pytest.raises(DataError, match="tolerance"):
             abc.load_state(bundle)
 
-    @pytest.mark.parametrize("priors", [[], None], ids=["list", "null"])
-    def test_priors_not_an_object(self, bundle, priors):
+    @staticmethod
+    def edit_manifest(bundle, edit):
+        """Apply ``edit`` to the parsed manifest and write it back."""
         path = bundle / "abc_state.json"
         manifest = json.loads(path.read_text())
-        manifest["priors"] = priors
+        edit(manifest)
         path.write_text(json.dumps(manifest))
+
+    @pytest.mark.parametrize("priors", [[], None], ids=["list", "null"])
+    def test_priors_not_an_object(self, bundle, priors):
+        self.edit_manifest(bundle, lambda m: m.update(priors=priors))
         for load in (abc.load_state, abc.load_population):
             with pytest.raises(DataError, match="cannot read"):
+                load(bundle)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m.update(tolerances=[], attempts=[]), "0 tolerances and 0"),
+        (lambda m: m["attempts"].pop(), "6 tolerances and 5"),
+        (lambda m: m["attempts"].append(10**6), "6 tolerances and 7"),
+    ], ids=["none", "attempts_short", "attempts_long"])
+    def test_manifest_population_count(self, bundle, edit, message):
+        self.edit_manifest(bundle, edit)
+        for load in (abc.load_state, abc.load_population):
+            with pytest.raises(DataError, match=message):
+                load(bundle)
+
+    def test_population_header_differs(self, bundle):
+        path = bundle / "population_02.csv"
+        path.write_text(path.read_text().replace("distance", "rho", 1))
+        assert len(abc.load_population(bundle, 1)[1]) == 500
+        for load in (abc.load_state, lambda b: abc.load_population(b, 2)):
+            with pytest.raises(DataError, match="header"):
                 load(bundle)
 
     def test_one_population_equals_full_load(self, bundle):

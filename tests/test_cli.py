@@ -381,6 +381,17 @@ class TestMap:
         assert run_cli("map", "--out-dir", tmp_path / "out", "--mode",
                        "stochastic", "--abc-state", bundle) == 4
 
+    def test_bundle_without_populations_exits_4(self, abc_dir, tmp_path,
+                                                capsys):
+        bundle = tmp_path / "abc_state"
+        shutil.copytree(abc_dir / "abc_state", bundle)
+        manifest = json.loads((bundle / "abc_state.json").read_text())
+        manifest.update(tolerances=[], attempts=[])
+        (bundle / "abc_state.json").write_text(json.dumps(manifest))
+        assert run_cli("map", "--out-dir", tmp_path / "out", "--mode",
+                       "stochastic", "--abc-state", bundle) == 4
+        assert "lists 0 tolerances and 0 attempts" in capsys.readouterr().err
+
     def test_one_population_read_matches_full_load(self, abc_dir, tmp_path,
                                                    monkeypatch):
         def full_load(directory, g=None):
@@ -874,6 +885,10 @@ def test_min_particles_against_the_mapped_population(sweep_inputs, tmp_path,
     ("gen-data", {"n": "1", "model": "m3"}),
     ("abc", {"envelope-coverage": "1"}),
     ("abc", {"envelope-coverage": "nan"}),
+    *[(command, {"w-ref": value, **extra})
+      for command, extra in (("map", {"wob-min": "50", "wob-max": "500"}),
+                             ("gen-data", {"model": "m3"}))
+      for value in ("-244.2", "inf", "0", "nan")],
 ])
 def test_value_outside_its_domain_exits_2_in_every_mode(sweep_inputs, tmp_path,
                                                         capsys, monkeypatch,
